@@ -85,4 +85,17 @@ std::uint32_t BestSizePredictor::predict_size_bytes(
   return target_to_size(predict_raw(stats));
 }
 
+std::unique_ptr<BestSizePredictor> train_size_predictor(
+    const CharacterizedSuite& suite, const PredictorConfig& config,
+    std::uint64_t seed) {
+  std::vector<std::size_t> train_ids = suite.training_ids();
+  if (train_ids.empty()) {
+    train_ids.resize(suite.size());
+    for (std::size_t i = 0; i < train_ids.size(); ++i) train_ids[i] = i;
+  }
+  Rng rng(seed);
+  return std::make_unique<BestSizePredictor>(
+      build_ann_dataset(suite, train_ids), config, rng);
+}
+
 }  // namespace hetsched

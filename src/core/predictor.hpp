@@ -13,6 +13,7 @@
 #include "ann/dataset.hpp"
 #include "ann/feature_selection.hpp"
 #include "trace/counters.hpp"
+#include "workload/characterization.hpp"
 
 namespace hetsched {
 
@@ -81,5 +82,13 @@ class BestSizePredictor final : public SizePredictor {
   std::unique_ptr<BaggedEnsemble> ensemble_;
   PredictorReport report_;
 };
+
+// The paper's training split: trains on the suite's variant>0 instances,
+// whose variant-0 siblings are the ones scheduled; with one variant per
+// kernel it trains on everything (the paper trains and evaluates on the
+// same EEMBC suite). Deterministic given `seed`.
+std::unique_ptr<BestSizePredictor> train_size_predictor(
+    const CharacterizedSuite& suite, const PredictorConfig& config,
+    std::uint64_t seed);
 
 }  // namespace hetsched

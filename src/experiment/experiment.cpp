@@ -1,23 +1,11 @@
 #include "experiment/experiment.hpp"
 
+#include "scenario/scenario.hpp"
 #include "util/contracts.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/profile_cache.hpp"
 
 namespace hetsched {
-namespace {
-
-CharacterizedSuite build_suite(const EnergyModel& energy,
-                               const ExperimentOptions& options) {
-  if (!options.profile_cache_path.empty()) {
-    return load_or_build_suite(options.profile_cache_path, energy,
-                               options.suite);
-  }
-  return CharacterizedSuite::build(energy, options.suite);
-}
-
-}  // namespace
-
 ExperimentOptions ExperimentOptions::quick() {
   ExperimentOptions opts;
   opts.suite.kernel_scale = 0.25;
@@ -53,23 +41,10 @@ NormalizedEnergy normalize(const SimulationResult& system,
 Experiment::Experiment(const ExperimentOptions& options)
     : options_(options),
       energy_(CactiModel{}, options.energy_params),
-      suite_(build_suite(energy_, options_)) {
-  // Train the ANN on the variant>0 instances; schedule the variant-0
-  // instances (held-out inputs of the same kernels). With a single
-  // variant per kernel, train on everything (the paper trains and
-  // evaluates on the same EEMBC suite).
-  std::vector<std::size_t> train_ids = suite_.training_ids();
-  if (train_ids.empty()) {
-    train_ids.resize(suite_.size());
-    for (std::size_t i = 0; i < train_ids.size(); ++i) train_ids[i] = i;
-  }
-  const Dataset dataset = build_ann_dataset(suite_, train_ids);
-
-  Rng train_rng(options_.seed);
-  predictor_ = std::make_unique<BestSizePredictor>(dataset,
-                                                   options_.predictor,
-                                                   train_rng);
-
+      suite_(load_or_build_suite(options.profile_cache_path, energy_,
+                                 options.suite)),
+      predictor_(train_size_predictor(suite_, options.predictor,
+                                      options.seed)) {
   scheduling_ids_ = suite_.scheduling_ids();
   HETSCHED_ASSERT(!scheduling_ids_.empty());
   Rng arrival_rng(options_.seed ^ 0xa5a5a5a5ULL);
@@ -93,35 +68,32 @@ SystemRun Experiment::run_policy(const SystemConfig& system,
   return run;
 }
 
-SystemConfig Experiment::heterogeneous_system() const {
-  return options_.core_count == 4
-             ? SystemConfig::paper_quadcore()
-             : SystemConfig::scaled_heterogeneous(options_.core_count);
-}
-
-SystemConfig Experiment::base_system() const {
-  return SystemConfig::fixed_base(options_.core_count);
+SystemConfig Experiment::system_for(std::string_view policy) const {
+  Scenario machine;
+  machine.cores = options_.core_count;
+  machine.system = default_machine(policy, machine.cores);
+  return machine.make_system();
 }
 
 SystemRun Experiment::run_base(ScheduleObserver* observer) const {
   BasePolicy policy;
-  return run_policy(base_system(), policy, "base", observer);
+  return run_policy(system_for("base"), policy, "base", observer);
 }
 
 SystemRun Experiment::run_optimal(ScheduleObserver* observer) const {
   OptimalPolicy policy;
-  return run_policy(heterogeneous_system(), policy, "optimal", observer);
+  return run_policy(system_for("optimal"), policy, "optimal", observer);
 }
 
 SystemRun Experiment::run_energy_centric(ScheduleObserver* observer) const {
   EnergyCentricPolicy policy(*predictor_);
-  return run_policy(heterogeneous_system(), policy, "energy-centric",
+  return run_policy(system_for("energy-centric"), policy, "energy-centric",
                     observer);
 }
 
 SystemRun Experiment::run_proposed(ScheduleObserver* observer) const {
   ProposedPolicy policy(*predictor_);
-  return run_policy(heterogeneous_system(), policy, "proposed", observer);
+  return run_policy(system_for("proposed"), policy, "proposed", observer);
 }
 
 Experiment::StandardRuns Experiment::run_standard_systems() const {
@@ -149,13 +121,13 @@ Experiment::StandardRuns Experiment::run_standard_systems(
 SystemRun Experiment::run_proposed_with(const SizePredictor& predictor,
                                         std::string name) const {
   ProposedPolicy policy(predictor);
-  return run_policy(heterogeneous_system(), policy, std::move(name));
+  return run_policy(system_for("proposed"), policy, std::move(name));
 }
 
 SystemRun Experiment::run_energy_centric_with(const SizePredictor& predictor,
                                               std::string name) const {
   EnergyCentricPolicy policy(predictor);
-  return run_policy(heterogeneous_system(), policy, std::move(name));
+  return run_policy(system_for("proposed"), policy, std::move(name));
 }
 
 }  // namespace hetsched

@@ -126,10 +126,8 @@ class Experiment {
   SystemRun run_policy(const SystemConfig& system, SchedulerPolicy& policy,
                        std::string name,
                        ScheduleObserver* observer = nullptr) const;
-  // The reconfigurable machine under evaluation: the paper quad-core at
-  // the default core_count, the scaled heterogeneous layout otherwise.
-  SystemConfig heterogeneous_system() const;
-  SystemConfig base_system() const;
+  // The machine `policy` runs on (default_machine at core_count).
+  SystemConfig system_for(std::string_view policy) const;
 
   ExperimentOptions options_;
   EnergyModel energy_;

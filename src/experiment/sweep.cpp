@@ -9,12 +9,14 @@
 #include <sstream>
 #include <thread>
 
+#include "obs/latency.hpp"
 #include "obs/observability.hpp"
 #include "obs/windowed.hpp"
 #include "util/atomic_file.hpp"
 #include "util/contracts.hpp"
 #include "util/hash.hpp"
 #include "util/snapshot_text.hpp"
+#include "workload/profile_cache.hpp"
 
 namespace hetsched {
 
@@ -28,15 +30,17 @@ Scenario SweepGrid::cell_scenario(std::size_t index) const {
   cell.cores = core_counts[core_i];
   cell.arrivals.mean_interarrival_cycles = mean_gaps[gap_i];
   cell.policy = policies[policy_i];
-  if (cell.policy == "base") {
-    cell.system = Scenario::SystemKind::kFixedBase;
-  } else if (cell.cores == 4) {
-    cell.system = Scenario::SystemKind::kPaperQuad;
-  } else {
-    cell.system = Scenario::SystemKind::kScaledHeterogeneous;
-  }
+  cell.system = default_machine(cell.policy, cell.cores);
   cell.name = base.name + "-cell" + std::to_string(index);
   return cell;
+}
+
+std::string SweepGrid::cell_label(std::size_t index) const {
+  HETSCHED_REQUIRE(index < cell_count());
+  const std::size_t gap_i = (index / policies.size()) % mean_gaps.size();
+  const std::size_t core_i = index / (policies.size() * mean_gaps.size());
+  return "c" + std::to_string(core_counts[core_i]) + ".g" +
+         std::to_string(gap_i) + "." + policies[index % policies.size()];
 }
 
 Scenario SweepGrid::context_scenario() const {
@@ -54,60 +58,13 @@ void SweepGrid::validate() const {
   for (std::size_t i = 0; i < cell_count(); ++i) cell_scenario(i).validate();
 }
 
-std::vector<SweepCell> run_sweep(
-    const SweepGrid& grid, const ScenarioContext& context,
-    std::size_t shards, ThreadPool& pool,
-    std::span<ScheduleObserver* const> cell_observers) {
-  grid.validate();
-  HETSCHED_REQUIRE(shards >= 1 && "shards must be >= 1");
-  const std::size_t cells = grid.cell_count();
-  HETSCHED_REQUIRE((cell_observers.empty() ||
-                    cell_observers.size() == cells) &&
-                   "cell_observers must be empty or one per cell");
-  shards = std::min(shards, cells);
-
-  std::vector<SweepCell> results(cells);
-  // Shard s owns the contiguous index range [s*cells/shards,
-  // (s+1)*cells/shards); each cell writes only its own slot, so the
-  // ThreadPool determinism contract makes the merge order-independent.
-  pool.parallel_for(shards, [&](std::size_t shard) {
-    const std::size_t begin = shard * cells / shards;
-    const std::size_t end = (shard + 1) * cells / shards;
-    for (std::size_t i = begin; i < end; ++i) {
-      const Scenario scenario = grid.cell_scenario(i);
-      ScheduleObserver* extra =
-          cell_observers.empty() ? nullptr : cell_observers[i];
-      const ScenarioOutcome outcome = run_scenario(scenario, context, extra);
-
-      SweepCell& cell = results[i];
-      cell.index = i;
-      cell.cores = scenario.cores;
-      cell.mean_gap = scenario.arrivals.mean_interarrival_cycles;
-      cell.policy = scenario.policy;
-      const std::size_t gap_i =
-          (i / grid.policies.size()) % grid.mean_gaps.size();
-      cell.label = "c" + std::to_string(cell.cores) + ".g" +
-                   std::to_string(gap_i) + "." + cell.policy;
-      cell.result = outcome.result;
-      cell.stream_digest = outcome.stream.digest();
-      cell.invariant_violations = outcome.stream.invariant_violations();
-    }
-  });
-  return results;
-}
-
-std::vector<SweepCell> run_sweep(
-    const SweepGrid& grid, const ScenarioContext& context,
-    std::span<ScheduleObserver* const> cell_observers) {
-  return run_sweep(grid, context, grid.cell_count(), ThreadPool::global(),
-                   cell_observers);
-}
-
 namespace {
 
 namespace st = snapshot_text;
 
-constexpr int kManifestVersion = 1;
+// Version 2 replaced the per-cell window summary and raw JSONL with the
+// cell's full collector state, which also carries its latency spans.
+constexpr int kManifestVersion = 2;
 
 // Identity fields shared by every path that materializes a cell record.
 void fill_cell_identity(SweepCell& cell, const SweepGrid& grid,
@@ -117,44 +74,32 @@ void fill_cell_identity(SweepCell& cell, const SweepGrid& grid,
   cell.cores = scenario.cores;
   cell.mean_gap = scenario.arrivals.mean_interarrival_cycles;
   cell.policy = scenario.policy;
-  const std::size_t gap_i =
-      (index / grid.policies.size()) % grid.mean_gaps.size();
-  cell.label = "c" + std::to_string(cell.cores) + ".g" +
-               std::to_string(gap_i) + "." + cell.policy;
+  cell.label = grid.cell_label(index);
 }
 
-// Runs one cell to completion under a cooperative wall-clock deadline:
-// the simulation advances in fixed simulated-time slices and the clock
-// is checked between slices, so a runaway cell is abandoned at a
-// deterministic simulation state boundary without detaching threads.
-SweepCell run_supervised_cell(const SweepGrid& grid, std::size_t index,
-                              const ScenarioContext& context,
-                              const SweepSupervisorOptions& options) {
+// Runs one cell to completion. With a timeout the simulation advances in
+// fixed simulated-time slices and the clock is checked between slices,
+// so a runaway cell is abandoned at a deterministic simulation state
+// boundary without detaching threads.
+SweepCell run_cell(const SweepGrid& grid, std::size_t index,
+                   const ScenarioContext& context, SimTime window_cycles,
+                   EventTracer* tracer, std::uint64_t timeout_ms = 0,
+                   SimTime slice = 1'000'000) {
   const Scenario scenario = grid.cell_scenario(index);
-  std::optional<WindowedCollector> collector;
-  if (options.window_cycles > 0) {
-    collector.emplace(scenario.make_system().core_count(),
-                      WindowedOptions{options.window_cycles, 0},
-                      &context.suite());
-  }
-  ScenarioRun run(scenario, context,
-                  collector.has_value() ? &*collector : nullptr);
+  auto collectors = std::make_shared<RunCollectors>(
+      scenario, &context.suite(), window_cycles, tracer);
+  ScenarioRun run(scenario, context, collectors->observer());
   run.start();
-
-  if (options.cell_timeout_ms == 0) {
+  if (timeout_ms == 0) {
     run.advance_until(std::numeric_limits<SimTime>::max());
   } else {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(options.cell_timeout_ms);
-    const SimTime slice = options.supervision_slice_cycles > 0
-                              ? options.supervision_slice_cycles
-                              : SimTime{1'000'000};
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
+    if (slice == 0) slice = 1'000'000;
     for (std::uint64_t k = 1; run.advance_until(k * slice); ++k) {
       if (std::chrono::steady_clock::now() >= deadline) {
-        throw SweepTimeoutError(
-            "cell exceeded its wall-clock budget of " +
-            std::to_string(options.cell_timeout_ms) + " ms");
+        throw SweepTimeoutError("cell exceeded its wall-clock budget of " +
+                                std::to_string(timeout_ms) + " ms");
       }
     }
   }
@@ -164,18 +109,8 @@ SweepCell run_supervised_cell(const SweepGrid& grid, std::size_t index,
   cell.result = run.finish();
   cell.stream_digest = run.stats().digest();
   cell.invariant_violations = run.stats().invariant_violations();
-  if (collector.has_value()) {
-    collector->finalize();
-    cell.windows_closed = collector->windows_closed();
-    cell.dropped_windows = collector->dropped_windows();
-    for (const WindowRecord& w : collector->windows()) {
-      cell.window_jobs_completed += w.jobs_completed;
-      cell.window_energy_mj += w.energy_mj;
-    }
-    std::ostringstream jsonl;
-    collector->write_jsonl(jsonl);
-    cell.windows_jsonl = jsonl.str();
-  }
+  collectors->finalize();
+  if (window_cycles > 0) cell.telemetry = std::move(collectors);
   return cell;
 }
 
@@ -194,6 +129,81 @@ std::string load_manifest_text(const SweepSupervisorOptions& options) {
 }
 
 }  // namespace
+
+std::vector<SweepCell> run_sweep(
+    const SweepGrid& grid, const ScenarioContext& context,
+    std::size_t shards, ThreadPool& pool, SimTime window_cycles,
+    std::span<EventTracer* const> cell_tracers) {
+  grid.validate();
+  HETSCHED_REQUIRE(shards >= 1 && "shards must be >= 1");
+  const std::size_t cells = grid.cell_count();
+  HETSCHED_REQUIRE((cell_tracers.empty() || cell_tracers.size() == cells) &&
+                   "cell_tracers must be empty or one per cell");
+  shards = std::min(shards, cells);
+
+  std::vector<SweepCell> results(cells);
+  // Shard s owns the contiguous index range [s*cells/shards,
+  // (s+1)*cells/shards); each cell writes only its own slot, so the
+  // ThreadPool determinism contract makes the merge order-independent.
+  pool.parallel_for(shards, [&](std::size_t shard) {
+    const std::size_t begin = shard * cells / shards;
+    const std::size_t end = (shard + 1) * cells / shards;
+    for (std::size_t i = begin; i < end; ++i) {
+      results[i] = run_cell(grid, i, context, window_cycles,
+                            cell_tracers.empty() ? nullptr : cell_tracers[i]);
+    }
+  });
+  return results;
+}
+
+RunArtifacts build_sweep_report(const SweepGrid& grid,
+                                const ScenarioContext& context,
+                                const std::vector<SweepCell>& cells,
+                                std::span<const SweepFailure> failed) {
+  RunArtifacts out;
+  RunReport& report = out.report;
+  report.command = "sweep";
+  report.name = grid.base.name;
+  for (const std::string& policy : grid.policies) {
+    report.policy += (report.policy.empty() ? "" : ",") + policy;
+  }
+  report.system = "grid";
+  report.discipline = std::string(to_string(grid.base.discipline));
+  report.seed = grid.base.seed;
+  report.jobs =
+      static_cast<std::uint64_t>(grid.base.arrivals.count) * cells.size();
+  report.suite_key = suite_cache_key(grid.base.suite, context.energy());
+  std::vector<const JobSpanCollector*> spans;
+  for (const SweepCell& cell : cells) {
+    if (!cell.completed) continue;
+    report.completed_jobs += cell.result.completed_jobs;
+    report.makespan =
+        std::max<std::uint64_t>(report.makespan, cell.result.makespan);
+    report.total_energy_mj += cell.result.total_energy().millijoules();
+    if (cell.telemetry == nullptr) continue;
+    const WindowedCollector& windows = *cell.telemetry->windows();
+    report.window_cycles = windows.window_cycles();
+    report.windows_closed += windows.windows_closed();
+    report.dropped_windows += windows.dropped_windows();
+    for (const WindowRecord& w : windows.windows()) {
+      report.window_jobs_completed += w.jobs_completed;
+      report.window_energy_mj += w.energy_mj;
+    }
+    out.windows_jsonl += cell.telemetry->windows_jsonl();
+    spans.push_back(cell.telemetry->spans());
+  }
+  // Cells sharing a policy fold into one latency row (fixed histogram
+  // boundaries make the merge exact).
+  if (!spans.empty()) attach_latency_summary(report, spans);
+  for (const SweepFailure& f : failed) {
+    report.failed_cells.push_back(
+        {f.label, f.attempts, f.timed_out, f.reason});
+  }
+  MetricsRegistry metrics;
+  record_sweep_metrics(metrics, "sweep.", cells);
+  report.metrics_json = metrics.to_json();
+  return out;
+}
 
 std::uint64_t sweep_grid_fingerprint(const SweepGrid& grid) {
   std::ostringstream out;
@@ -227,14 +237,11 @@ std::string serialize_sweep_manifest(const SweepGrid& grid,
     save_simulation_result(body, cell.result);
     body << "stream " << cell.stream_digest << ' '
          << cell.invariant_violations << "\n";
-    body << "windows " << cell.windows_closed << ' '
-         << cell.dropped_windows << ' ' << cell.window_jobs_completed
-         << ' ';
-    st::write_double(body, cell.window_energy_mj);
-    // Raw JSONL bytes, length-prefixed: content is opaque to the
-    // manifest parser and reproduced byte-for-byte on resume.
-    body << "\nwindows-jsonl " << cell.windows_jsonl.size() << "\n"
-         << cell.windows_jsonl << "\n";
+    const WindowedCollector* windows =
+        cell.telemetry != nullptr ? cell.telemetry->windows() : nullptr;
+    body << "telemetry " << (windows != nullptr ? windows->window_cycles() : 0)
+         << "\n";
+    if (windows != nullptr) cell.telemetry->save_state(body);
   }
   std::ostringstream out;
   st::write_with_checksum(out, body.str());
@@ -304,28 +311,16 @@ std::vector<SweepCell> parse_sweep_manifest(const std::string& text,
         st::read_value<std::uint64_t>(in, "stream digest", context);
     cell.invariant_violations =
         st::read_value<std::uint64_t>(in, "invariant violations", context);
-    if (!(in >> token) || token != "windows") {
-      st::fail(context, "expected 'windows'");
+    if (!(in >> token) || token != "telemetry") {
+      st::fail(context, "expected 'telemetry'");
     }
-    cell.windows_closed =
-        st::read_value<std::uint64_t>(in, "windows closed", context);
-    cell.dropped_windows =
-        st::read_value<std::uint64_t>(in, "dropped windows", context);
-    cell.window_jobs_completed =
-        st::read_value<std::uint64_t>(in, "window jobs", context);
-    cell.window_energy_mj =
-        st::read_value<double>(in, "window energy", context);
-    if (!(in >> token) || token != "windows-jsonl") {
-      st::fail(context, "expected 'windows-jsonl'");
-    }
-    const auto bytes =
-        st::read_value<std::size_t>(in, "jsonl byte count", context);
-    in.get();  // the newline terminating the length prefix
-    cell.windows_jsonl.resize(bytes);
-    if (bytes > 0 &&
-        !in.read(cell.windows_jsonl.data(),
-                 static_cast<std::streamsize>(bytes))) {
-      st::fail(context, "truncated window JSONL payload");
+    const auto window_cycles =
+        st::read_value<SimTime>(in, "telemetry window cycles", context);
+    if (window_cycles > 0) {
+      auto telemetry = std::make_shared<RunCollectors>(
+          grid.cell_scenario(index), nullptr, window_cycles);
+      telemetry->restore_state(in, context);
+      cell.telemetry = std::move(telemetry);
     }
     cells.push_back(std::move(cell));
   }
@@ -390,7 +385,9 @@ SupervisedSweepResult run_sweep_supervised(
            ++attempt) {
         failure.attempts = attempt;
         try {
-          SweepCell cell = run_supervised_cell(grid, i, context, options);
+          SweepCell cell = run_cell(grid, i, context, options.window_cycles,
+                                    nullptr, options.cell_timeout_ms,
+                                    options.supervision_slice_cycles);
           cell.completed = true;
           sweep.cells[i] = std::move(cell);
           done = true;

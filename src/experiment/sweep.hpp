@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -36,6 +37,8 @@ struct SweepGrid {
   // (paper layout at 4 cores, scaled layout otherwise) — the Experiment
   // convention.
   Scenario cell_scenario(std::size_t index) const;
+  // "c<cores>.g<gap index>.<policy>", metric-key safe.
+  std::string cell_label(std::size_t index) const;
 
   // `base` with its policy swapped for the most demanding one on the
   // policies axis, so one ScenarioContext built from it (with a trained
@@ -50,44 +53,33 @@ struct SweepCell {
   std::size_t cores = 0;
   double mean_gap = 0.0;
   std::string policy;
-  std::string label;  // "c<cores>.g<gap index>.<policy>", metric-key safe
+  std::string label;  // SweepGrid::cell_label
   SimulationResult result;
   std::uint64_t stream_digest = 0;  // StreamStats event-stream digest
   std::uint64_t invariant_violations = 0;
 
-  // Supervised execution extensions. `completed` is false for a cell
-  // that failed or timed out under supervision (its result fields are
-  // default-initialized, only the identity fields above are valid).
+  // False for a cell that failed or timed out under supervision (only
+  // the identity fields above are then valid).
   bool completed = true;
-  // Windowed-telemetry summary and raw JSONL lines, captured when the
-  // supervisor runs cells with window_cycles > 0; carried through the
-  // shard manifest so a resumed sweep reproduces the merged window
-  // output byte-identically without re-running completed cells.
-  std::uint64_t windows_closed = 0;
-  std::uint64_t dropped_windows = 0;
-  std::uint64_t window_jobs_completed = 0;
-  double window_energy_mj = 0.0;
-  std::string windows_jsonl;
+  // The cell's finalized span and windowed collectors when the sweep ran
+  // with windows, null otherwise. The shard manifest carries their
+  // state, so a resumed sweep reproduces the merged telemetry
+  // byte-identically without re-running completed cells.
+  std::shared_ptr<const RunCollectors> telemetry;
 };
 
 // Runs every cell of `grid`, splitting the cell list into `shards`
 // contiguous chunks executed via pool.parallel_for. Returns the cells in
 // grid order. `context` must come from grid.context_scenario() (or any
-// scenario with identical suite/predictor parameters).
-// `cell_observers` is either empty or one observer per cell (nulls
-// allowed): observer i receives cell i's event stream. Each observer is
-// touched only by the shard running its cell, so per-cell recorders
-// need no locking; cells may run concurrently, so one observer must not
-// be aliased across cells.
+// scenario with identical suite/predictor parameters). With
+// `window_cycles` > 0 every cell keeps its own RunCollectors.
+// `cell_tracers` is either empty or one tracer per cell (nulls allowed):
+// tracer i records cell i, touched only by the shard running that cell,
+// so one tracer must not be aliased across cells.
 std::vector<SweepCell> run_sweep(
     const SweepGrid& grid, const ScenarioContext& context,
-    std::size_t shards, ThreadPool& pool,
-    std::span<ScheduleObserver* const> cell_observers = {});
-
-// Convenience: shards == cell count, shared global pool.
-std::vector<SweepCell> run_sweep(
-    const SweepGrid& grid, const ScenarioContext& context,
-    std::span<ScheduleObserver* const> cell_observers = {});
+    std::size_t shards, ThreadPool& pool, SimTime window_cycles = 0,
+    std::span<EventTracer* const> cell_tracers = {});
 
 // Deposits one result bucket per cell under `prefix` + cell label, plus
 // the per-cell stream digest and invariant-violation counters.
@@ -116,7 +108,7 @@ struct SweepSupervisorOptions {
   // cooperatively in slices of this many cycles, so the deadline is
   // honoured without detaching threads (sanitizer-clean).
   SimTime supervision_slice_cycles = 1'000'000;
-  // Per-cell windowed telemetry width; 0 runs cells without a collector.
+  // Per-cell window width; 0 runs cells without collectors.
   SimTime window_cycles = 0;
   // Shard-manifest path, atomically rewritten after every completed
   // cell; empty = no manifest persistence.
@@ -145,6 +137,16 @@ struct SupervisedSweepResult {
   std::uint64_t resumed_cells = 0;   // skipped thanks to the manifest
 };
 
+// The aggregate report of a sweep: totals over the completed cells,
+// window counts and JSONL summed and concatenated in grid order (window
+// indices restart at 0 per cell), latency merged per policy, metrics
+// from record_sweep_metrics, and one row per quarantined cell.
+// Deterministic, like build_run_report.
+RunArtifacts build_sweep_report(const SweepGrid& grid,
+                                const ScenarioContext& context,
+                                const std::vector<SweepCell>& cells,
+                                std::span<const SweepFailure> failed = {});
+
 // Supervised variant of run_sweep: each cell runs under a cooperative
 // wall-clock timeout with bounded retry; failures are quarantined into
 // `failed` instead of aborting the sweep. Deterministic for the
@@ -159,8 +161,8 @@ SupervisedSweepResult run_sweep_supervised(
 
 // Shard-manifest round trip (exposed for tests and tooling). The
 // manifest records the grid fingerprint plus every completed cell's full
-// payload (result, digest, window summary and raw window JSONL,
-// length-prefixed), checksummed like every snapshot format.
+// payload (result, digest and collector state), checksummed like every
+// snapshot format.
 // parse_sweep_manifest validates against `grid` and throws
 // std::runtime_error (tagged with `context`) on malformed, truncated or
 // mismatched input.

@@ -58,8 +58,8 @@ class PhaseTimers {
 };
 
 struct RunReport {
-  // What ran. The CLI fills these from its command line / scenario; the
-  // obs layer deliberately knows nothing about Scenario.
+  // What ran. build_run_report (scenario layer) fills these from the
+  // scenario; the obs layer deliberately knows nothing about Scenario.
   std::string command;    // run | scenario | sweep
   std::string name;       // scenario/run label
   std::string policy;
@@ -76,8 +76,9 @@ struct RunReport {
   double total_energy_mj = 0.0;
   std::uint64_t stream_digest = 0;  // 0 when the run kept no StreamStats
 
-  // Full metrics-registry snapshot, embedded verbatim ("{}" when the
-  // run kept no registry).
+  // The run's own metrics-registry snapshot, embedded verbatim ("{}"
+  // when the run kept no registry). build_run_report fills it from
+  // record_scenario_metrics, so it is deterministic.
   std::string metrics_json = "{}";
 
   // Window summary (zero/empty without a windowed collector).

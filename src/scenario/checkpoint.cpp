@@ -30,8 +30,7 @@ constexpr int kCheckpointVersion = 4;
 std::string make_checkpoint_text(const Scenario& scenario,
                                  const CheckpointRunOptions& options,
                                  std::uint64_t boundary, ScenarioRun& run,
-                                 const JobSpanCollector& spans,
-                                 const WindowedCollector& collector) {
+                                 const RunCollectors& collectors) {
   std::ostringstream body;
   body << "hetsched-checkpoint " << kCheckpointVersion << "\n";
   body << "scenario-hash " << scenario_fingerprint(scenario) << "\n";
@@ -43,8 +42,7 @@ std::string make_checkpoint_text(const Scenario& scenario,
   body << "dag " << (run.dag() != nullptr ? 1 : 0) << "\n";
   if (run.dag() != nullptr) run.dag()->save_state(body);
   run.stats().save_state(body);
-  spans.save_state(body);
-  collector.save_state(body);
+  collectors.save_state(body);
   run.policy().save_state(body);
   body << "faults " << (run.injector() != nullptr ? 1 : 0) << "\n";
   if (run.injector() != nullptr) run.injector()->save_state(body);
@@ -54,14 +52,13 @@ std::string make_checkpoint_text(const Scenario& scenario,
 }
 
 // Parses and verifies `text`, restores every component into `run` and
-// `collector`, and returns the stride boundary the snapshot was taken
+// `collectors`, and returns the stride boundary the snapshot was taken
 // at. The ScenarioRun must be freshly constructed (not started).
 std::uint64_t restore_checkpoint_text(const std::string& text,
                                       const Scenario& scenario,
                                       const CheckpointRunOptions& options,
                                       ScenarioRun& run,
-                                      JobSpanCollector& spans,
-                                      WindowedCollector& collector,
+                                      RunCollectors& collectors,
                                       const std::string& context) {
   std::istringstream raw(text);
   const std::string body = st::read_verified(raw, context);
@@ -111,8 +108,7 @@ std::uint64_t restore_checkpoint_text(const std::string& text,
   }
   if (run.dag() != nullptr) run.dag()->restore_state(in, context);
   run.stats().restore_state(in, context);
-  spans.restore_state(in, context);
-  collector.restore_state(in, context);
+  collectors.restore_state(in, context);
   run.policy().restore_state(in, context);
   if (!(in >> token) || token != "faults") {
     st::fail(context, "expected 'faults'");
@@ -158,15 +154,9 @@ CheckpointRunOutcome run_scenario_checkpointed(
     throw std::invalid_argument("checkpoint intervals: " + interval_error);
   }
 
-  JobSpanCollector spans(scenario.policy, options.window_cycles);
-  WindowedCollector collector(
-      scenario.make_system().core_count(),
-      WindowedOptions{options.window_cycles, 0}, &context.suite());
-  collector.set_span_source(&spans);
-  // Span collector first: it must have closed window k (and banked its
-  // latency digest) before the windowed collector closes k and pulls it.
-  FanoutObserver extra({&spans, &collector});
-  ScenarioRun run(scenario, context, &extra);
+  auto collectors = std::make_unique<RunCollectors>(
+      scenario, &context.suite(), options.window_cycles);
+  ScenarioRun run(scenario, context, collectors->observer());
 
   std::uint64_t boundary = 0;
   std::uint64_t resumed_from = 0;
@@ -177,7 +167,7 @@ CheckpointRunOutcome run_scenario_checkpointed(
                                          ? std::string("checkpoint")
                                          : options.resume_from;
     boundary = restore_checkpoint_text(load_resume_text(options), scenario,
-                                       options, run, spans, collector,
+                                       options, run, *collectors,
                                        context_name);
     resumed_from = boundary;
   } else {
@@ -186,14 +176,14 @@ CheckpointRunOutcome run_scenario_checkpointed(
 
   const SimTime stride = options.window_cycles * options.checkpoint_every;
   std::uint64_t written = 0;
+  bool halted = false;
   for (;;) {
     ++boundary;
     const bool paused = run.advance_until(boundary * stride);
     if (!paused) break;  // stream drained before the boundary
 
     const std::string text = make_checkpoint_text(scenario, options,
-                                                  boundary, run, spans,
-                                                  collector);
+                                                  boundary, run, *collectors);
     if (options.capture_checkpoints != nullptr) {
       options.capture_checkpoints->push_back(text);
     }
@@ -202,45 +192,22 @@ CheckpointRunOutcome run_scenario_checkpointed(
       throw std::runtime_error("cannot write checkpoint file: " +
                                options.checkpoint_out);
     }
-    ++written;
-    if (options.halt_after_checkpoints > 0 &&
-        written >= options.halt_after_checkpoints) {
-      // The moved-out collectors leave this scope: sever the handshake
-      // pointer so the moved copy never dereferences the dead original.
-      collector.set_span_source(nullptr);
-      CheckpointRunOutcome halted{SimulationResult{},
-                                  std::move(run.stats()),
-                                  std::move(collector),
-                                  std::move(spans),
-                                  written,
-                                  resumed_from,
-                                  true,
-                                  std::nullopt,
-                                  std::nullopt};
-      if (const auto* portfolio =
-              dynamic_cast<const PortfolioPolicy*>(&run.policy())) {
-        halted.portfolio = portfolio->stats();
-      }
-      if (const DagArrivalSource* dag = run.dag()) {
-        halted.dag = dag->stats();
-      }
-      return halted;
-    }
+    halted = ++written == options.halt_after_checkpoints;
+    if (halted) break;
   }
 
-  const SimulationResult result = run.finish();
-  spans.finalize();  // before the windowed collector: it pulls on close
-  collector.finalize();
-  collector.set_span_source(nullptr);
-  CheckpointRunOutcome outcome{result,
-                               std::move(run.stats()),
-                               std::move(collector),
-                               std::move(spans),
-                               written,
-                               resumed_from,
-                               false,
-                               std::nullopt,
-                               std::nullopt};
+  SimulationResult result;
+  if (!halted) {
+    result = run.finish();
+    collectors->finalize();
+  }
+  CheckpointRunOutcome outcome{
+      {std::move(result), std::move(run.stats()), DispatchTelemetry{},
+       std::nullopt, std::nullopt},
+      std::move(collectors),
+      written,
+      resumed_from,
+      halted};
   if (const auto* portfolio =
           dynamic_cast<const PortfolioPolicy*>(&run.policy())) {
     outcome.portfolio = portfolio->stats();

@@ -18,11 +18,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "obs/latency.hpp"
-#include "obs/windowed.hpp"
 #include "scenario/scenario_runner.hpp"
 
 namespace hetsched {
@@ -46,23 +45,16 @@ struct CheckpointRunOptions {
   std::vector<std::string>* capture_checkpoints = nullptr;
 };
 
-struct CheckpointRunOutcome {
-  SimulationResult result;   // default-initialized when halted
-  StreamStats stream;
-  WindowedCollector windows;  // finalized only when the run completed
-  // Per-job latency spans (policy-labelled); fed the windows' lat_*
-  // columns during the run and finalized alongside them.
-  JobSpanCollector spans;
+// The run's outcome (result default-initialized when halted; portfolio
+// and DAG stats as of the halt) plus its collectors. `dispatch` stays
+// empty: scan counters are per-process, not resumable state.
+struct CheckpointRunOutcome : ScenarioOutcome {
+  // Windowed and span collectors; finalized only when the run completed.
+  std::unique_ptr<RunCollectors> collectors;
   std::uint64_t checkpoints_written = 0;
   // Stride boundary the run resumed from; 0 = started fresh.
   std::uint64_t resumed_from = 0;
   bool halted = false;
-  // Selector outcome when the scenario ran a portfolio policy; for halted
-  // runs this is the selector state as of the halt.
-  std::optional<PortfolioStats> portfolio;
-  // DAG release accounting when the scenario declared dep edges; for
-  // halted runs this is the frontier state as of the halt.
-  std::optional<DagStats> dag;
 };
 
 // Runs `scenario` under the checkpointing driver. Without resume/halt

@@ -13,24 +13,31 @@ namespace {
 
 namespace st = snapshot_text;
 
-// Kahn's algorithm over the edge list; returns the pop order (empty
-// slots absent — size < node_count exactly when the graph has a cycle).
+// Kahn's algorithm over the edge list, successors in CSR form (edge
+// order per node); returns the pop order (empty slots absent — size <
+// node_count exactly when the graph has a cycle).
 std::vector<std::size_t> topological_order(const std::vector<DagEdge>& edges,
                                            std::size_t node_count) {
   std::vector<std::size_t> indegree(node_count, 0);
-  std::vector<std::vector<std::size_t>> successors(node_count);
+  std::vector<std::size_t> first(node_count + 1, 0);
   for (const DagEdge& e : edges) {
     ++indegree[e.to];
-    successors[e.from].push_back(e.to);
+    ++first[e.from + 1];
   }
+  for (std::size_t v = 0; v < node_count; ++v) first[v + 1] += first[v];
+  std::vector<std::size_t> successors(edges.size());
+  std::vector<std::size_t> next(first.begin(), first.end() - 1);
+  for (const DagEdge& e : edges) successors[next[e.from]++] = e.to;
+
   std::vector<std::size_t> order;
   order.reserve(node_count);
   for (std::size_t v = 0; v < node_count; ++v) {
     if (indegree[v] == 0) order.push_back(v);
   }
   for (std::size_t head = 0; head < order.size(); ++head) {
-    for (const std::size_t s : successors[order[head]]) {
-      if (--indegree[s] == 0) order.push_back(s);
+    const std::size_t v = order[head];
+    for (std::size_t k = first[v]; k < first[v + 1]; ++k) {
+      if (--indegree[successors[k]] == 0) order.push_back(successors[k]);
     }
   }
   return order;
@@ -73,13 +80,41 @@ std::optional<DagSpec::Issue> DagSpec::validate(
                        std::to_string(a.to)};
     }
   }
+  // Cycle check over the nodes that carry an edge. Jobs without edges
+  // cannot close a cycle, so when they are most of the jobs the
+  // endpoints are renumbered densely first: zero edges cost nothing and
+  // a few edges among a million jobs cost O(edges). A denser graph is
+  // indexed by job id, which is then O(edges) already.
+  const std::vector<DagEdge>* graph = &edges;
+  std::size_t graph_nodes = node_count;
+  std::vector<DagEdge> dense_edges;
+  if (node_count > 2 * edges.size()) {
+    std::vector<std::size_t> nodes;  // dense id -> job id
+    nodes.reserve(2 * edges.size());
+    for (const DagEdge& e : edges) {
+      nodes.push_back(e.from);
+      nodes.push_back(e.to);
+    }
+    std::sort(nodes.begin(), nodes.end());
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+    const auto dense = [&nodes](std::size_t v) {
+      return static_cast<std::size_t>(
+          std::lower_bound(nodes.begin(), nodes.end(), v) - nodes.begin());
+    };
+    dense_edges.reserve(edges.size());
+    for (const DagEdge& e : edges) {
+      dense_edges.push_back({dense(e.from), dense(e.to)});
+    }
+    graph = &dense_edges;
+    graph_nodes = nodes.size();
+  }
   const std::vector<std::size_t> order =
-      topological_order(edges, node_count);
-  if (order.size() < node_count) {
-    std::vector<char> popped(node_count, 0);
+      topological_order(*graph, graph_nodes);
+  if (order.size() < graph_nodes) {
+    std::vector<char> popped(graph_nodes, 0);
     for (const std::size_t v : order) popped[v] = 1;
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      if (!popped[edges[i].from] && !popped[edges[i].to]) {
+    for (std::size_t i = 0; i < graph->size(); ++i) {
+      if (!popped[(*graph)[i].from] && !popped[(*graph)[i].to]) {
         return Issue{i, "dep edges form a cycle through job " +
                             std::to_string(edges[i].from)};
       }

@@ -26,6 +26,13 @@ bool known_policy(const std::string& policy) {
 
 }  // namespace
 
+Scenario::SystemKind default_machine(std::string_view policy,
+                                     std::size_t cores) {
+  if (policy == "base") return Scenario::SystemKind::kFixedBase;
+  return cores == 4 ? Scenario::SystemKind::kPaperQuad
+                    : Scenario::SystemKind::kScaledHeterogeneous;
+}
+
 std::string_view to_string(Scenario::SystemKind kind) {
   switch (kind) {
     case Scenario::SystemKind::kPaperQuad: return "paper";

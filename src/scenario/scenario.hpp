@@ -107,6 +107,12 @@ struct Scenario {
   void save(std::ostream& out) const;
 };
 
+// The machine `policy` runs on at `cores` cores: base pins every core to
+// the base configuration; every other policy gets the reconfigurable
+// machine, the paper quad-core at 4 cores and the scaled layout otherwise.
+Scenario::SystemKind default_machine(std::string_view policy,
+                                     std::size_t cores);
+
 std::string_view to_string(Scenario::SystemKind kind);
 std::string_view to_string(QueueDiscipline discipline);
 

@@ -2,29 +2,16 @@
 
 #include <limits>
 #include <optional>
+#include <sstream>
 
 #include "cache/cache_config.hpp"
 #include "core/policy_registry.hpp"
 #include "fault/fault_injector.hpp"
 #include "obs/observability.hpp"
 #include "util/contracts.hpp"
-#include "workload/dataset_builder.hpp"
 #include "workload/profile_cache.hpp"
 
 namespace hetsched {
-namespace {
-
-CharacterizedSuite build_suite(const EnergyModel& energy,
-                               const Scenario& scenario,
-                               const std::string& profile_cache_path) {
-  if (!profile_cache_path.empty()) {
-    return load_or_build_suite(profile_cache_path, energy, scenario.suite);
-  }
-  return CharacterizedSuite::build(energy, scenario.suite);
-}
-
-}  // namespace
-
 std::unique_ptr<SchedulerPolicy> make_scenario_policy(
     const Scenario& scenario, const ScenarioContext& context) {
   PolicyContext ctx;
@@ -35,9 +22,11 @@ std::unique_ptr<SchedulerPolicy> make_scenario_policy(
 }
 
 ScenarioContext::ScenarioContext(const Scenario& scenario,
-                                 const std::string& profile_cache_path)
+                                 const std::string& profile_cache_path,
+                                 std::unique_ptr<const SizePredictor> loaded)
     : energy_(CactiModel{}, EnergyModelParams{}),
-      suite_(build_suite(energy_, scenario, profile_cache_path)) {
+      suite_(load_or_build_suite(profile_cache_path, energy_,
+                                 scenario.suite)) {
   scenario.validate();
   scheduling_ids_ = suite_.scheduling_ids();
   HETSCHED_ASSERT(!scheduling_ids_.empty());
@@ -49,24 +38,15 @@ ScenarioContext::ScenarioContext(const Scenario& scenario,
                                      .energy.total_cycles;
   }
 
-  if (scenario.needs_predictor()) {
-    // Train on the variant>0 instances, schedule the variant-0 instances
-    // (the Experiment split); with one variant per kernel, train on
-    // everything.
-    std::vector<std::size_t> train_ids = suite_.training_ids();
-    if (train_ids.empty()) {
-      train_ids.resize(suite_.size());
-      for (std::size_t i = 0; i < train_ids.size(); ++i) train_ids[i] = i;
-    }
-    const Dataset dataset = build_ann_dataset(suite_, train_ids);
+  if (loaded != nullptr) {
+    predictor_ = std::move(loaded);
+  } else if (scenario.needs_predictor()) {
     PredictorConfig config;
     config.ensemble_size = scenario.predictor_ensemble;
     if (scenario.predictor_max_epochs > 0) {
       config.trainer.max_epochs = scenario.predictor_max_epochs;
     }
-    Rng train_rng(scenario.seed);
-    predictor_ =
-        std::make_unique<BestSizePredictor>(dataset, config, train_rng);
+    predictor_ = train_size_predictor(suite_, config, scenario.seed);
   }
 }
 
@@ -79,9 +59,9 @@ ScenarioRun::ScenarioRun(const Scenario& scenario,
                  scenario.discipline),
       stats_(system_.core_count()),
       fanout_({&stats_, extra}),
-      // Seed derivations match Experiment (arrivals) and the CLI
-      // (real-time attributes), so a scenario reproduces those streams
-      // exactly.
+      // Seed derivations match Experiment's batch arrivals and
+      // assign_realtime_attributes, so a scenario reproduces those
+      // streams exactly.
       stream_(context.scheduling_ids(), scenario.arrivals,
               scenario.seed ^ 0xa5a5a5a5ULL) {
   std::optional<DagArrivalSource::RealtimeSetup> dag_realtime;
@@ -137,6 +117,86 @@ ScenarioOutcome run_scenario(const Scenario& scenario,
     outcome.dag = dag->stats();
   }
   return outcome;
+}
+
+RunCollectors::RunCollectors(const Scenario& scenario,
+                             const CharacterizedSuite* suite,
+                             SimTime window_cycles, EventTracer* tracer)
+    : tracer_(tracer), fanout_({}) {
+  if (window_cycles > 0) {
+    spans_.emplace(scenario.policy, window_cycles);
+    windowed_.emplace(scenario.make_system().core_count(),
+                      WindowedOptions{window_cycles, 0}, suite);
+    windowed_->set_span_source(&*spans_);
+  }
+  fanout_ = FanoutObserver({tracer_, spans_.has_value() ? &*spans_ : nullptr,
+                            windowed_.has_value() ? &*windowed_ : nullptr});
+}
+
+ScheduleObserver* RunCollectors::observer() {
+  if (windowed_.has_value()) return &fanout_;
+  return tracer_;
+}
+
+void RunCollectors::finalize() {
+  if (spans_.has_value()) spans_->finalize();
+  if (windowed_.has_value()) windowed_->finalize();
+}
+
+std::string RunCollectors::windows_jsonl() const {
+  if (!windowed_.has_value()) return {};
+  std::ostringstream out;
+  windowed_->write_jsonl(out);
+  return out.str();
+}
+
+void RunCollectors::save_state(std::ostream& out) const {
+  if (spans_.has_value()) spans_->save_state(out);
+  if (windowed_.has_value()) windowed_->save_state(out);
+}
+
+void RunCollectors::restore_state(std::istream& in,
+                                  const std::string& context) {
+  if (spans_.has_value()) spans_->restore_state(in, context);
+  if (windowed_.has_value()) windowed_->restore_state(in, context);
+}
+
+RunArtifacts build_run_report(const std::string& command,
+                              const Scenario& scenario,
+                              const ScenarioContext& context,
+                              const ScenarioOutcome& outcome,
+                              const RunCollectors& collectors) {
+  RunArtifacts out;
+  RunReport& report = out.report;
+  report.command = command;
+  report.name = scenario.name;
+  report.policy = scenario.policy;
+  report.system = std::string(to_string(scenario.system));
+  report.discipline = std::string(to_string(scenario.discipline));
+  report.cores = scenario.make_system().core_count();
+  report.seed = scenario.seed;
+  report.jobs = scenario.arrivals.count;
+  report.suite_key = suite_cache_key(scenario.suite, context.energy());
+  report.completed_jobs = outcome.result.completed_jobs;
+  report.makespan = outcome.result.makespan;
+  report.total_energy_mj = outcome.result.total_energy().millijoules();
+  report.stream_digest = outcome.stream.digest();
+  MetricsRegistry metrics;
+  record_scenario_metrics(metrics, scenario.name + ".", outcome);
+  report.metrics_json = metrics.to_json();
+  if (const WindowedCollector* windows = collectors.windows()) {
+    attach_window_summary(report, *windows, AnomalyConfig{});
+    attach_latency_summary(report, {collectors.spans()});
+    out.windows_jsonl = collectors.windows_jsonl();
+  }
+  if (outcome.portfolio.has_value()) {
+    attach_portfolio_summary(report, *outcome.portfolio);
+    if (collectors.windows() != nullptr) {
+      out.windows_jsonl += portfolio_switch_jsonl(*outcome.portfolio);
+    }
+  }
+  if (outcome.dag.has_value()) attach_dag_summary(report, *outcome.dag);
+  return out;
 }
 
 void record_scenario_metrics(MetricsRegistry& metrics,

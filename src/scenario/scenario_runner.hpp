@@ -13,8 +13,11 @@
 #include "core/portfolio_policy.hpp"
 #include "core/predictor.hpp"
 #include "core/simulator.hpp"
+#include "obs/event_trace.hpp"
+#include "obs/latency.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
+#include "obs/windowed.hpp"
 #include "scenario/dag_arrivals.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/stream_stats.hpp"
@@ -28,10 +31,12 @@ namespace hetsched {
 class ScenarioContext {
  public:
   // Builds the characterised suite (served from `profile_cache_path`
-  // when non-empty) and, when the scenario's policy needs one, trains
-  // the ANN predictor.
+  // when non-empty) and, when the scenario's policy needs one, the ANN
+  // predictor: `loaded` (e.g. a PredictorSnapshot) when given, otherwise
+  // one trained on the suite.
   explicit ScenarioContext(const Scenario& scenario,
-                           const std::string& profile_cache_path = "");
+                           const std::string& profile_cache_path = "",
+                           std::unique_ptr<const SizePredictor> loaded = {});
 
   const EnergyModel& energy() const { return energy_; }
   const CharacterizedSuite& suite() const { return suite_; }
@@ -51,7 +56,7 @@ class ScenarioContext {
   CharacterizedSuite suite_;
   std::vector<std::size_t> scheduling_ids_;
   std::vector<Cycles> base_reference_cycles_;
-  std::unique_ptr<BestSizePredictor> predictor_;
+  std::unique_ptr<const SizePredictor> predictor_;
 };
 
 struct ScenarioOutcome {
@@ -109,7 +114,7 @@ class ScenarioRun {
   StreamStats& stats() { return stats_; }
   GeneratedArrivalStream& arrivals() { return stream_; }
   // The scenario's scheduler (checkpointing serialises its state; the
-  // CLI extracts portfolio selector stats through it).
+  // drivers extract portfolio selector stats through it).
   SchedulerPolicy& policy() { return *policy_; }
   const SchedulerPolicy& policy() const { return *policy_; }
   // Null when the scenario has no fault plan.
@@ -147,6 +152,67 @@ class ScenarioRun {
 ScenarioOutcome run_scenario(const Scenario& scenario,
                              const ScenarioContext& context,
                              ScheduleObserver* extra = nullptr);
+
+// The telemetry collectors of one run, wired in the one order that
+// works: tracer, then the job span collector, then the windowed
+// collector, which pulls each closed window's latency digest from the
+// span collector when it closes the window itself. The simulator holds
+// the bundle's address, so it neither copies nor moves.
+class RunCollectors {
+ public:
+  // `window_cycles` == 0 attaches no span or windowed collector.
+  // `suite` (optional) fills the energy and prediction columns; it and
+  // `tracer` (optional) must outlive the bundle.
+  RunCollectors(const Scenario& scenario, const CharacterizedSuite* suite,
+                SimTime window_cycles, EventTracer* tracer = nullptr);
+  RunCollectors(const RunCollectors&) = delete;
+  RunCollectors& operator=(const RunCollectors&) = delete;
+
+  // What to hand run_scenario or ScenarioRun: null when nothing is
+  // attached, the tracer itself when there are no windows.
+  ScheduleObserver* observer();
+  // Closes the last windows, span collector first. Idempotent.
+  void finalize();
+
+  // Null when the bundle was built with window_cycles == 0.
+  const JobSpanCollector* spans() const {
+    return spans_.has_value() ? &*spans_ : nullptr;
+  }
+  const WindowedCollector* windows() const {
+    return windowed_.has_value() ? &*windowed_ : nullptr;
+  }
+  // The windows as JSONL; empty without windows.
+  std::string windows_jsonl() const;
+
+  // Checkpoint support: the span then the windowed collector's state
+  // (nothing without windows); restore_state needs a bundle built with
+  // the same scenario shape and window width.
+  void save_state(std::ostream& out) const;
+  void restore_state(std::istream& in, const std::string& context);
+
+ private:
+  EventTracer* tracer_;
+  std::optional<JobSpanCollector> spans_;
+  std::optional<WindowedCollector> windowed_;
+  FanoutObserver fanout_;
+};
+
+// A run's report and its windows JSONL (portfolio switch events
+// appended), as --report-out and --windows-out write them.
+struct RunArtifacts {
+  RunReport report;
+  std::string windows_jsonl;
+};
+
+// Builds the report of one finished scenario run from its finalized
+// collectors. Deterministic: the metrics block is the run's own
+// record_scenario_metrics registry and no phase timers are set, so two
+// identical runs give the same bytes. `command` labels the report.
+RunArtifacts build_run_report(const std::string& command,
+                              const Scenario& scenario,
+                              const ScenarioContext& context,
+                              const ScenarioOutcome& outcome,
+                              const RunCollectors& collectors);
 
 // Deposits an outcome into the registry under `prefix` (result buckets
 // via record_result_metrics plus the stream aggregates and digest).

@@ -251,6 +251,10 @@ CharacterizedSuite load_or_build_suite(const std::string& path,
                                        const EnergyModel& model,
                                        const SuiteOptions& options,
                                        ThreadPool* pool) {
+  if (path.empty()) {
+    return pool != nullptr ? CharacterizedSuite::build(model, options, *pool)
+                           : CharacterizedSuite::build(model, options);
+  }
   const std::uint64_t key = suite_cache_key(options, model);
 
   {

@@ -42,7 +42,8 @@ CharacterizedSuite load_suite_snapshot(std::istream& in,
 // File-level entry point: returns the cached suite at `path` when it is
 // present, intact, and keyed to (options, model); otherwise builds the
 // suite (on `pool`, or the global pool when null) and refreshes `path`
-// via an atomic rename. An unwritable path degrades to a plain build.
+// via an atomic rename. An unwritable path degrades to a plain build; an
+// empty path is a plain build with no cache traffic at all.
 CharacterizedSuite load_or_build_suite(const std::string& path,
                                        const EnergyModel& model,
                                        const SuiteOptions& options,

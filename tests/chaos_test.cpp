@@ -61,12 +61,6 @@ std::string result_text(const SimulationResult& result) {
   return out.str();
 }
 
-std::string windows_text(const WindowedCollector& collector) {
-  std::ostringstream out;
-  collector.write_jsonl(out);
-  return out.str();
-}
-
 // --- Durable atomic outputs ----------------------------------------------
 
 TEST(AtomicFile, WritesAndOverwrites) {
@@ -150,7 +144,7 @@ void expect_kill_resume_identity(const Scenario& scenario,
 
   const std::uint64_t ref_digest = full.stream.digest();
   const std::string ref_result = result_text(full.result);
-  const std::string ref_windows = windows_text(full.windows);
+  const std::string ref_windows = full.collectors->windows_jsonl();
 
   for (std::size_t k = 0; k < checkpoints.size(); ++k) {
     CheckpointRunOptions resume = base_checkpoint_options();
@@ -164,7 +158,7 @@ void expect_kill_resume_identity(const Scenario& scenario,
     EXPECT_EQ(resumed.stream.digest(), ref_digest) << "boundary " << k + 1;
     EXPECT_EQ(result_text(resumed.result), ref_result)
         << "boundary " << k + 1;
-    EXPECT_EQ(windows_text(resumed.windows), ref_windows)
+    EXPECT_EQ(resumed.collectors->windows_jsonl(), ref_windows)
         << "boundary " << k + 1;
     ASSERT_EQ(tail.size(), checkpoints.size() - k - 1);
     for (std::size_t j = 0; j < tail.size(); ++j) {
@@ -241,7 +235,8 @@ TEST(CheckpointResume, HaltAndResumeFromFile) {
       w.base, w.context, base_checkpoint_options());
   EXPECT_EQ(resumed.stream.digest(), full.stream.digest());
   EXPECT_EQ(result_text(resumed.result), result_text(full.result));
-  EXPECT_EQ(windows_text(resumed.windows), windows_text(full.windows));
+  EXPECT_EQ(resumed.collectors->windows_jsonl(),
+            full.collectors->windows_jsonl());
 }
 
 // --- Checkpoint rejection ------------------------------------------------
@@ -380,7 +375,7 @@ TEST(SupervisedSweep, ManifestResumeIsByteIdentical) {
       grid, world().context, 2, ThreadPool::global(), options);
   ASSERT_TRUE(clean.failed.empty());
   ASSERT_EQ(clean.cells.size(), 4u);
-  EXPECT_FALSE(clean.cells[0].windows_jsonl.empty());
+  EXPECT_FALSE(clean.cells[0].telemetry->windows_jsonl().empty());
 
   // Simulate a crash after two completed cells: a manifest holding only
   // those, resumed into a fresh sweep.

@@ -382,7 +382,7 @@ TEST(DagDeterminism, CheckpointKillAtEveryBoundaryMatches) {
   ASSERT_GE(checkpoints.size(), 3u);
 
   const std::string ref_result = result_text(full.result);
-  const std::string ref_windows = windows_text(full.windows);
+  const std::string ref_windows = full.collectors->windows_jsonl();
 
   for (std::size_t k = 0; k < checkpoints.size(); ++k) {
     CheckpointRunOptions resume;
@@ -397,7 +397,7 @@ TEST(DagDeterminism, CheckpointKillAtEveryBoundaryMatches) {
         << "boundary " << k + 1;
     EXPECT_EQ(result_text(resumed.result), ref_result)
         << "boundary " << k + 1;
-    EXPECT_EQ(windows_text(resumed.windows), ref_windows)
+    EXPECT_EQ(resumed.collectors->windows_jsonl(), ref_windows)
         << "boundary " << k + 1;
     ASSERT_TRUE(resumed.dag.has_value()) << "boundary " << k + 1;
     EXPECT_EQ(resumed.dag->releases, full.dag->releases)
@@ -453,47 +453,21 @@ TEST(DagGolden, SmokeScenarioWindowsAndReport) {
   ASSERT_FALSE(scenario.dag.empty());
 
   const ScenarioContext context(scenario);
-  // Mirror the CLI scenario path: span collector ahead of the windowed
-  // collector so the goldens pin the lat_* columns and latency section.
-  JobSpanCollector spans(scenario.policy, 1'000'000);
-  WindowedCollector collector(scenario.make_system().core_count(),
-                              WindowedOptions{1'000'000, 0},
-                              &context.suite());
-  collector.set_span_source(&spans);
-  FanoutObserver fanout({&spans, &collector});
-  const ScenarioOutcome outcome = run_scenario(scenario, context, &fanout);
-  spans.finalize();
-  collector.finalize();
+  // The deterministic report and windows `hetsched_cli scenario
+  // --report-deterministic` writes for this run.
+  RunCollectors collectors(scenario, &context.suite(), 1'000'000);
+  const ScenarioOutcome outcome =
+      run_scenario(scenario, context, collectors.observer());
+  collectors.finalize();
   EXPECT_EQ(outcome.stream.invariant_violations(), 0u);
   ASSERT_TRUE(outcome.dag.has_value());
   EXPECT_GE(outcome.dag->releases, 1u);
 
-  const std::string windows = windows_text(collector);
-
-  // The deterministic report the CLI would emit for this run (empty
-  // phases, metrics from a local registry).
-  RunReport report;
-  report.command = "scenario";
-  report.name = scenario.name;
-  report.policy = scenario.policy;
-  report.system = std::string(to_string(scenario.system));
-  report.discipline = std::string(to_string(scenario.discipline));
-  report.cores = scenario.make_system().core_count();
-  report.seed = scenario.seed;
-  report.jobs = scenario.arrivals.count;
-  report.suite_key = suite_cache_key(scenario.suite, context.energy());
-  report.completed_jobs = outcome.result.completed_jobs;
-  report.makespan = outcome.result.makespan;
-  report.total_energy_mj = outcome.result.total_energy().millijoules();
-  report.stream_digest = outcome.stream.digest();
-  attach_window_summary(report, collector, AnomalyConfig{});
-  attach_latency_summary(report, {&spans});
-  attach_dag_summary(report, *outcome.dag);
-  MetricsRegistry local;
-  record_scenario_metrics(local, scenario.name + ".", outcome);
-  report.metrics_json = local.to_json();
-  report.include_phases = false;
-  const std::string report_json = run_report_to_json(report);
+  RunArtifacts artifacts =
+      build_run_report("scenario", scenario, context, outcome, collectors);
+  artifacts.report.include_phases = false;
+  const std::string& windows = artifacts.windows_jsonl;
+  const std::string report_json = run_report_to_json(artifacts.report);
   EXPECT_NE(report_json.find("\"dag\": {"), std::string::npos);
 
   const std::string windows_path = dir + "dag_smoke.windows.jsonl";

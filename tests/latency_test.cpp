@@ -300,12 +300,6 @@ World& world() {
   return *w;
 }
 
-std::string windows_text(const WindowedCollector& collector) {
-  std::ostringstream out;
-  collector.write_jsonl(out);
-  return out.str();
-}
-
 // The deterministic latency fingerprint of a run: the report's latency
 // section rendered through the real JSON writer (phases suppressed).
 std::string latency_json(const JobSpanCollector& spans) {
@@ -324,18 +318,15 @@ struct SpannedRun {
 SpannedRun run_with_spans(std::size_t threads) {
   World& w = world();
   ThreadPool::set_global_threads(threads);
-  JobSpanCollector spans(w.base.policy, 1'000'000);
-  WindowedCollector collector(w.base.cores, WindowedOptions{1'000'000, 0},
-                              &w.context.suite());
-  collector.set_span_source(&spans);
-  FanoutObserver fanout({&spans, &collector});
-  const ScenarioOutcome outcome = run_scenario(w.base, w.context, &fanout);
-  spans.finalize();
-  collector.finalize();
+  RunCollectors collectors(w.base, &w.context.suite(), 1'000'000);
+  const ScenarioOutcome outcome =
+      run_scenario(w.base, w.context, collectors.observer());
+  collectors.finalize();
+  const JobSpanCollector& spans = *collectors.spans();
   EXPECT_EQ(outcome.stream.invariant_violations(), 0u);
   EXPECT_EQ(spans.jobs_completed(), outcome.result.completed_jobs);
   EXPECT_EQ(spans.in_flight(), 0u);
-  return {windows_text(collector), latency_json(spans),
+  return {collectors.windows_jsonl(), latency_json(spans),
           outcome.result.completed_jobs};
 }
 
@@ -360,23 +351,19 @@ TEST(LatencyDeterminism, StreamAndBatchSpansAreByteIdentical) {
   OptimalPolicy policy;
   MulticoreSimulator simulator(s.make_system(), w.context.suite(),
                                w.context.energy(), policy, s.discipline);
-  JobSpanCollector batch_spans(s.policy, 1'000'000);
-  WindowedCollector batch_collector(s.cores, WindowedOptions{1'000'000, 0},
-                                    &w.context.suite());
-  batch_collector.set_span_source(&batch_spans);
-  FanoutObserver batch_fanout({&batch_spans, &batch_collector});
-  simulator.set_observer(&batch_fanout);
+  RunCollectors batch_collectors(s, &w.context.suite(), 1'000'000);
+  simulator.set_observer(batch_collectors.observer());
   Rng rng(s.seed ^ 0xa5a5a5a5ULL);
   const std::vector<JobArrival> arrivals =
       generate_arrivals(w.context.scheduling_ids(), s.arrivals, rng);
   const SimulationResult batch = simulator.run(arrivals);
-  batch_spans.finalize();
-  batch_collector.finalize();
+  batch_collectors.finalize();
+  const JobSpanCollector& batch_spans = *batch_collectors.spans();
 
   const SpannedRun streamed = run_with_spans(ThreadPool::default_threads());
   EXPECT_EQ(batch.completed_jobs, streamed.completed);
   EXPECT_EQ(batch_spans.jobs_completed(), batch.completed_jobs);
-  EXPECT_EQ(windows_text(batch_collector), streamed.windows_jsonl);
+  EXPECT_EQ(batch_collectors.windows_jsonl(), streamed.windows_jsonl);
   EXPECT_EQ(latency_json(batch_spans), streamed.latency);
 }
 
@@ -392,9 +379,10 @@ TEST(LatencyDeterminism, KillAtEveryBoundaryPreservesSpanState) {
   ASSERT_FALSE(full.halted);
   ASSERT_GE(checkpoints.size(), 3u);
 
-  const std::string ref_windows = windows_text(full.windows);
-  const std::string ref_latency = latency_json(full.spans);
-  EXPECT_EQ(full.spans.jobs_completed(), full.result.completed_jobs);
+  const std::string ref_windows = full.collectors->windows_jsonl();
+  const std::string ref_latency = latency_json(*full.collectors->spans());
+  EXPECT_EQ(full.collectors->spans()->jobs_completed(),
+            full.result.completed_jobs);
 
   for (std::size_t k = 0; k < checkpoints.size(); ++k) {
     CheckpointRunOptions resume;
@@ -405,9 +393,9 @@ TEST(LatencyDeterminism, KillAtEveryBoundaryPreservesSpanState) {
         run_scenario_checkpointed(w.base, w.context, resume);
     ASSERT_FALSE(resumed.halted);
     EXPECT_EQ(resumed.resumed_from, k + 1);
-    EXPECT_EQ(windows_text(resumed.windows), ref_windows)
+    EXPECT_EQ(resumed.collectors->windows_jsonl(), ref_windows)
         << "boundary " << k + 1;
-    EXPECT_EQ(latency_json(resumed.spans), ref_latency)
+    EXPECT_EQ(latency_json(*resumed.collectors->spans()), ref_latency)
         << "boundary " << k + 1;
   }
 }
@@ -522,37 +510,17 @@ TEST(Analyze, GoldenStreamingSmokeAnalysis) {
   const Scenario scenario = Scenario::parse(in);
   const ScenarioContext context(scenario);
 
-  // Mirror the CLI scenario path: spans ahead of the windowed collector.
-  JobSpanCollector spans(scenario.policy, 1'000'000);
-  WindowedCollector collector(scenario.make_system().core_count(),
-                              WindowedOptions{1'000'000, 0},
-                              &context.suite());
-  collector.set_span_source(&spans);
-  FanoutObserver fanout({&spans, &collector});
-  const ScenarioOutcome outcome = run_scenario(scenario, context, &fanout);
-  spans.finalize();
-  collector.finalize();
-
-  RunReport report;
-  report.include_phases = false;
-  report.command = "scenario";
-  report.name = scenario.name;
-  report.policy = scenario.policy;
-  report.system = std::string(to_string(scenario.system));
-  report.discipline = std::string(to_string(scenario.discipline));
-  report.cores = scenario.make_system().core_count();
-  report.seed = scenario.seed;
-  report.jobs = scenario.arrivals.count;
-  report.completed_jobs = outcome.result.completed_jobs;
-  report.makespan = outcome.result.makespan;
-  report.total_energy_mj = outcome.result.total_energy().millijoules();
-  report.stream_digest = outcome.stream.digest();
-  attach_window_summary(report, collector, AnomalyConfig{});
-  attach_latency_summary(report, {&spans});
-  const std::string report_json = run_report_to_json(report);
+  RunCollectors collectors(scenario, &context.suite(), 1'000'000);
+  const ScenarioOutcome outcome =
+      run_scenario(scenario, context, collectors.observer());
+  collectors.finalize();
+  RunArtifacts artifacts =
+      build_run_report("scenario", scenario, context, outcome, collectors);
+  artifacts.report.include_phases = false;
+  const std::string report_json = run_report_to_json(artifacts.report);
 
   const std::string analysis =
-      analyze_run(report_json, windows_text(collector), AnalyzeOptions{});
+      analyze_run(report_json, artifacts.windows_jsonl, AnalyzeOptions{});
   // Sanity: the breakdown found the latency section and the policy row.
   EXPECT_NE(analysis.find("== latency breakdown (cycles) =="),
             std::string::npos);

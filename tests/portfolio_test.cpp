@@ -287,7 +287,7 @@ TEST(PortfolioDeterminism, CheckpointKillAndResumeRebuildsSelectorState) {
   ASSERT_GE(checkpoints.size(), 3u);
 
   const std::string ref_result = result_text(full.result);
-  const std::string ref_windows = windows_text(full.windows);
+  const std::string ref_windows = full.collectors->windows_jsonl();
   const std::string ref_switches = portfolio_switch_jsonl(*full.portfolio);
 
   for (std::size_t k = 0; k < checkpoints.size(); ++k) {
@@ -303,7 +303,7 @@ TEST(PortfolioDeterminism, CheckpointKillAndResumeRebuildsSelectorState) {
         << "boundary " << k + 1;
     EXPECT_EQ(result_text(resumed.result), ref_result)
         << "boundary " << k + 1;
-    EXPECT_EQ(windows_text(resumed.windows), ref_windows)
+    EXPECT_EQ(resumed.collectors->windows_jsonl(), ref_windows)
         << "boundary " << k + 1;
     ASSERT_TRUE(resumed.portfolio.has_value());
     EXPECT_EQ(portfolio_switch_jsonl(*resumed.portfolio), ref_switches)
@@ -359,49 +359,22 @@ TEST(PortfolioGolden, SmokeScenarioWindowsAndReport) {
   const Scenario scenario = Scenario::parse(in);
 
   const ScenarioContext context(scenario);
-  // Mirror the CLI scenario path: span collector ahead of the windowed
-  // collector so the goldens pin the lat_* columns and latency section.
-  JobSpanCollector spans(scenario.policy, 1'000'000);
-  WindowedCollector collector(scenario.make_system().core_count(),
-                              WindowedOptions{1'000'000, 0},
-                              &context.suite());
-  collector.set_span_source(&spans);
-  FanoutObserver fanout({&spans, &collector});
-  const ScenarioOutcome outcome = run_scenario(scenario, context, &fanout);
-  spans.finalize();
-  collector.finalize();
+  // The deterministic report and windows (plus switch events)
+  // `hetsched_cli scenario --report-deterministic` writes for this run.
+  RunCollectors collectors(scenario, &context.suite(), 1'000'000);
+  const ScenarioOutcome outcome =
+      run_scenario(scenario, context, collectors.observer());
+  collectors.finalize();
   EXPECT_EQ(outcome.stream.invariant_violations(), 0u);
   ASSERT_TRUE(outcome.portfolio.has_value());
   EXPECT_GE(outcome.portfolio->switches.size(), 1u);
 
-  const std::string windows =
-      windows_text(collector) + portfolio_switch_jsonl(*outcome.portfolio);
+  RunArtifacts artifacts =
+      build_run_report("scenario", scenario, context, outcome, collectors);
+  artifacts.report.include_phases = false;
+  const std::string& windows = artifacts.windows_jsonl;
   EXPECT_NE(windows.find("\"event\":\"policy_switch\""), std::string::npos);
-
-  // The deterministic report the CLI would emit for this run (empty
-  // phases, metrics from a local registry).
-  RunReport report;
-  report.command = "scenario";
-  report.name = scenario.name;
-  report.policy = scenario.policy;
-  report.system = std::string(to_string(scenario.system));
-  report.discipline = std::string(to_string(scenario.discipline));
-  report.cores = scenario.make_system().core_count();
-  report.seed = scenario.seed;
-  report.jobs = scenario.arrivals.count;
-  report.suite_key = suite_cache_key(scenario.suite, context.energy());
-  report.completed_jobs = outcome.result.completed_jobs;
-  report.makespan = outcome.result.makespan;
-  report.total_energy_mj = outcome.result.total_energy().millijoules();
-  report.stream_digest = outcome.stream.digest();
-  attach_window_summary(report, collector, AnomalyConfig{});
-  attach_latency_summary(report, {&spans});
-  attach_portfolio_summary(report, *outcome.portfolio);
-  MetricsRegistry local;
-  record_scenario_metrics(local, scenario.name + ".", outcome);
-  report.metrics_json = local.to_json();
-  report.include_phases = false;
-  const std::string report_json = run_report_to_json(report);
+  const std::string report_json = run_report_to_json(artifacts.report);
 
   const std::string windows_path = dir + "portfolio_smoke.windows.jsonl";
   const std::string report_path = dir + "portfolio_smoke.report.json";

@@ -620,26 +620,21 @@ TEST(WindowedDeterminism, GoldenStreamingSmokeWindows) {
   const Scenario scenario = Scenario::parse(in);
 
   const ScenarioContext context(scenario);
-  // Mirror the CLI scenario path: span collector ahead of the windowed
-  // collector so the golden pins real lat_* percentile columns.
-  JobSpanCollector spans(scenario.policy, 1'000'000);
-  WindowedCollector collector(scenario.make_system().core_count(),
-                              WindowedOptions{1'000'000, 0},
-                              &context.suite());
-  collector.set_span_source(&spans);
-  FanoutObserver fanout({&spans, &collector});
-  const ScenarioOutcome outcome = run_scenario(scenario, context, &fanout);
-  spans.finalize();
-  collector.finalize();
+  // The CLI scenario path's collectors, so the golden pins real lat_*
+  // percentile columns.
+  RunCollectors collectors(scenario, &context.suite(), 1'000'000);
+  const ScenarioOutcome outcome =
+      run_scenario(scenario, context, collectors.observer());
+  collectors.finalize();
   EXPECT_EQ(outcome.stream.invariant_violations(), 0u);
-  EXPECT_EQ(spans.jobs_completed(), outcome.result.completed_jobs);
-  std::ostringstream jsonl;
-  collector.write_jsonl(jsonl);
+  EXPECT_EQ(collectors.spans()->jobs_completed(),
+            outcome.result.completed_jobs);
+  const std::string jsonl = collectors.windows_jsonl();
 
   const std::string golden_path = dir + "streaming_smoke.windows.jsonl";
   if (std::getenv("HETSCHED_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(golden_path);
-    out << jsonl.str();
+    out << jsonl;
     ASSERT_TRUE(out) << "cannot write " << golden_path;
     GTEST_SKIP() << "golden windows regenerated at " << golden_path;
   }
@@ -648,7 +643,7 @@ TEST(WindowedDeterminism, GoldenStreamingSmokeWindows) {
                          << "; regenerate with HETSCHED_REGEN_GOLDEN=1";
   std::stringstream golden;
   golden << golden_in.rdbuf();
-  EXPECT_EQ(jsonl.str(), golden.str())
+  EXPECT_EQ(jsonl, golden.str())
       << "window stream diverged from the checked-in golden; if the "
          "change is intended, regenerate with HETSCHED_REGEN_GOLDEN=1 "
          "and commit the new file";

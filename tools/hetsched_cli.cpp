@@ -1,4 +1,8 @@
-// hetsched command-line driver.
+// hetsched command-line driver. Every simulating command is a scenario
+// run: run and compare build a Scenario from their flags (policy on the
+// machine it runs on, seed, arrivals, scale, discipline, slack, faults)
+// and execute it like `scenario` does, with one collector bundle
+// (RunCollectors) and one report builder (build_run_report).
 //
 //   hetsched_cli compare   [common options]
 //       run all four Section-V systems over one stream and print the
@@ -6,7 +10,7 @@
 //   hetsched_cli run       --system <any registry policy name or
 //                                    portfolio:<a>+<b>[@cycles]>
 //                          [common options]
-//       run one system and print its full accounting
+//       run one system and print its full accounting and stream digest
 //   hetsched_cli characterize [--kernel <name>]
 //       print the Table-1 characterisation (optionally one kernel's
 //       per-configuration sweep)
@@ -52,7 +56,8 @@
 //   --fault-seed N       fault-decision seed (default 1)
 //   --trace-out FILE     write a Chrome-trace/Perfetto JSON of the run(s)
 //                        (ts = simulated cycles, deterministic)
-//   --metrics-out FILE   write the metrics-registry snapshot as JSON
+//   --metrics-out FILE   write the session metrics registry as JSON (pool,
+//                        profile cache, sim.* tracer counters, results)
 //   --max-trace-events N retain at most N trace events per tracer
 //                        (0 = unlimited; default 1M, drops counted)
 //   --windows-out FILE   write per-window telemetry as JSONL (run,
@@ -60,8 +65,8 @@
 //   --window-cycles N    tumbling window width in simulated cycles
 //                        (default 1000000)
 //   --report-out FILE    write the unified run report JSON (config +
-//                        suite key, result, metrics, window summary,
-//                        anomalies, wall-clock phase timers)
+//                        suite key, result, the run's own metrics, window
+//                        summary, anomalies, wall-clock phase timers)
 //   --report-deterministic
 //                        emit the report with an empty phases_ms section
 //                        so two identical runs produce byte-identical
@@ -91,24 +96,21 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/policy_registry.hpp"
-#include "core/realtime_policy.hpp"
 #include "core/serialization.hpp"
 #include "experiment/experiment.hpp"
 #include "experiment/sweep.hpp"
-#include "fault/fault_injector.hpp"
 #include "obs/analyzer.hpp"
 #include "obs/bench_diff.hpp"
-#include "obs/latency.hpp"
 #include "obs/observability.hpp"
 #include "obs/run_report.hpp"
-#include "obs/windowed.hpp"
 #include "scenario/checkpoint.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "util/atomic_file.hpp"
@@ -127,8 +129,6 @@ struct CliOptions {
   std::string kernel;
   std::string save_path;
   std::string load_path;
-  std::string discipline = "fifo";
-  std::optional<double> slack;
   std::string fault_plan_path;
   std::optional<double> fault_rate;
   std::optional<std::uint64_t> fault_seed;
@@ -155,7 +155,10 @@ struct CliOptions {
   std::string sweep_gaps;  // empty: the scenario file's mean-gap
   std::string sweep_policies = "base,proposed";
   std::size_t shards = 0;  // 0: one shard per cell
-  ExperimentOptions experiment;
+  // run/compare/train/characterize: the scenario their flags describe
+  // (seed, cores, arrivals, kernel scale, discipline, slack).
+  Scenario run;
+  std::string profile_cache_path;
 
   // Crash-safe execution.
   std::string checkpoint_out_path;
@@ -168,8 +171,12 @@ struct CliOptions {
   std::string manifest_out_path;
   bool deterministic_report = false;
 
-  bool wants_windows() const {
-    return !report_out_path.empty() || !windows_out_path.empty();
+  // Window width for the run's collectors; 0 (none) unless a report or
+  // windows output was asked for.
+  SimTime collector_window() const {
+    return report_out_path.empty() && windows_out_path.empty()
+               ? 0
+               : window_cycles;
   }
   bool wants_checkpointing() const {
     return !checkpoint_out_path.empty() || !resume_from_path.empty() ||
@@ -370,6 +377,13 @@ double parse_real(const std::string& flag, const std::string& text,
   return value;
 }
 
+QueueDiscipline parse_discipline(const std::string& name) {
+  if (name == "fifo") return QueueDiscipline::kFifo;
+  if (name == "edf") return QueueDiscipline::kEdf;
+  if (name == "priority") return QueueDiscipline::kPriority;
+  usage("unknown discipline " + name);
+}
+
 CliOptions parse(int argc, char** argv) {
   if (argc < 2) usage();
   CliOptions options;
@@ -383,23 +397,24 @@ CliOptions parse(int argc, char** argv) {
     if (flag == "--system") {
       options.system = next();
     } else if (flag == "--arrivals") {
-      options.experiment.arrivals.count =
+      options.run.arrivals.count =
           static_cast<std::size_t>(parse_count(flag, next(), 1));
     } else if (flag == "--gap") {
-      options.experiment.arrivals.mean_interarrival_cycles =
+      options.run.arrivals.mean_interarrival_cycles =
           parse_real(flag, next(), 1.0, 1e15);
     } else if (flag == "--seed") {
-      options.experiment.seed = parse_count(flag, next(), 0);
+      options.run.seed = parse_count(flag, next(), 0);
     } else if (flag == "--cores") {
-      options.experiment.core_count =
+      options.run.cores =
           static_cast<std::size_t>(parse_count(flag, next(), 2));
     } else if (flag == "--scale") {
-      options.experiment.suite.kernel_scale =
-          parse_real(flag, next(), 1e-6, 1e6);
+      options.run.suite.kernel_scale = parse_real(flag, next(), 1e-6, 1e6);
     } else if (flag == "--discipline") {
-      options.discipline = next();
+      options.run.discipline = parse_discipline(next());
     } else if (flag == "--slack") {
-      options.slack = parse_real(flag, next(), 1e-6, 1e6);
+      // Deadlines = arrival + X * base cycles, over three priority levels.
+      options.run.realtime =
+          RealtimeOptions{parse_real(flag, next(), 1e-6, 1e6), 3};
     } else if (flag == "--kernel") {
       options.kernel = next();
     } else if (flag == "--save") {
@@ -414,7 +429,7 @@ CliOptions parse(int argc, char** argv) {
       }
       ThreadPool::set_global_threads(static_cast<std::size_t>(threads));
     } else if (flag == "--profile-cache") {
-      options.experiment.profile_cache_path = next();
+      options.profile_cache_path = next();
     } else if (flag == "--fault-plan") {
       options.fault_plan_path = next();
     } else if (flag == "--fault-rate") {
@@ -537,13 +552,6 @@ CliOptions parse(int argc, char** argv) {
   return options;
 }
 
-QueueDiscipline parse_discipline(const std::string& name) {
-  if (name == "fifo") return QueueDiscipline::kFifo;
-  if (name == "edf") return QueueDiscipline::kEdf;
-  if (name == "priority") return QueueDiscipline::kPriority;
-  usage("unknown discipline " + name);
-}
-
 void print_result(const std::string& name, const SimulationResult& r) {
   TablePrinter table({"metric", "value"});
   table.add_row({"total energy",
@@ -642,39 +650,69 @@ bool write_text_file(const std::string& path, const std::string& content,
   return true;
 }
 
-std::string windows_jsonl(const WindowedCollector& collector) {
-  std::ostringstream out;
-  collector.write_jsonl(out);
-  return out.str();
+// The accounting table plus the stream digest line, and the selector and
+// DAG summaries when the run had them.
+void print_outcome(const std::string& name, const ScenarioOutcome& outcome) {
+  print_result(name, outcome.result);
+  std::cout << "stream: " << outcome.stream.slices() << " slices, digest 0x"
+            << std::hex << outcome.stream.digest() << std::dec << ", "
+            << outcome.stream.invariant_violations()
+            << " invariant violations\n";
+  if (outcome.portfolio.has_value()) print_portfolio(*outcome.portfolio);
+  if (outcome.dag.has_value()) print_dag(*outcome.dag);
 }
 
-// Shared tail of run/scenario/sweep: finish the report skeleton the
-// command filled in and write the requested artifacts.
-int export_reports(const CliOptions& options, ObsSession* obs,
-                   PhaseTimers& timers, RunReport report,
-                   const std::string& windows) {
+// Shared tail of run/scenario/sweep: stamp the phase timers into the
+// report (unless it is to be deterministic) and write the requested
+// artifacts.
+int export_reports(const CliOptions& options, const PhaseTimers& timers,
+                   RunArtifacts artifacts) {
   if (!options.windows_out_path.empty() &&
-      !write_text_file(options.windows_out_path, windows, "windows")) {
+      !write_text_file(options.windows_out_path, artifacts.windows_jsonl,
+                       "windows")) {
     return 1;
   }
   if (!options.report_out_path.empty()) {
-    if (obs != nullptr) report.metrics_json = obs->metrics.to_json();
-    report.phases_ms = timers.entries();
-    report.include_phases = !options.deterministic_report;
+    artifacts.report.phases_ms = timers.entries();
+    artifacts.report.include_phases = !options.deterministic_report;
     if (!write_text_file(options.report_out_path,
-                         run_report_to_json(report), "report")) {
+                         run_report_to_json(artifacts.report), "report")) {
       return 1;
     }
   }
   return 0;
 }
 
+// Shared tail of run and scenario: print the outcome, record it in the
+// session registry and export the run's report.
+int finish_run(const CliOptions& options, ObsSession* obs,
+               const PhaseTimers& timers, const std::string& command,
+               const Scenario& scenario, const ScenarioContext& context,
+               const ScenarioOutcome& outcome,
+               const RunCollectors& collectors) {
+  print_outcome(scenario.name, outcome);
+  if (obs != nullptr) {
+    record_scenario_metrics(obs->metrics, scenario.name + ".", outcome);
+  }
+  const int status = export_reports(
+      options, timers,
+      build_run_report(command, scenario, context, outcome, collectors));
+  if (status != 0) return status;
+  return outcome.stream.invariant_violations() == 0 ? 0 : 1;
+}
+
+CharacterizedSuite build_suite(const CliOptions& options,
+                               const EnergyModel& energy) {
+  return load_or_build_suite(options.profile_cache_path, energy,
+                             options.run.suite);
+}
+
 int cmd_characterize(const CliOptions& options) {
-  Experiment experiment(options.experiment);
-  const CharacterizedSuite& suite = experiment.suite();
+  const EnergyModel energy(CactiModel{}, EnergyModelParams{});
+  const CharacterizedSuite suite = build_suite(options, energy);
   if (!options.kernel.empty()) {
     // Single-kernel per-configuration sweep.
-    for (std::size_t id : experiment.scheduling_ids()) {
+    for (std::size_t id : suite.scheduling_ids()) {
       const BenchmarkProfile& b = suite.benchmark(id);
       if (!b.instance.name.starts_with(options.kernel)) continue;
       TablePrinter table({"config", "miss rate", "cycles", "total nJ"});
@@ -695,7 +733,7 @@ int cmd_characterize(const CliOptions& options) {
   }
   TablePrinter table({"benchmark", "domain", "refs", "oracle best",
                       "best/base energy"});
-  for (std::size_t id : experiment.scheduling_ids()) {
+  for (std::size_t id : suite.scheduling_ids()) {
     const BenchmarkProfile& b = suite.benchmark(id);
     const ConfigProfile& base =
         b.profile_for(DesignSpace::base_config());
@@ -712,12 +750,14 @@ int cmd_characterize(const CliOptions& options) {
 
 int cmd_train(const CliOptions& options) {
   if (options.save_path.empty()) usage("train requires --save FILE");
-  Experiment experiment(options.experiment);
-  const PredictorReport& report = experiment.predictor().report();
+  const EnergyModel energy(CactiModel{}, EnergyModelParams{});
+  const auto predictor = train_size_predictor(
+      build_suite(options, energy), PredictorConfig{}, options.run.seed);
+  const PredictorReport& report = predictor->report();
   std::cout << "trained on " << report.dataset_rows << " rows; test accuracy "
             << TablePrinter::num(report.test_accuracy * 100.0, 1) << "%\n";
   std::ostringstream out;
-  PredictorSnapshot::from(experiment.predictor()).save(out);
+  PredictorSnapshot::from(*predictor).save(out);
   if (!atomic_write_file(options.save_path, out.str())) {
     std::cerr << "cannot write " << options.save_path << "\n";
     return 1;
@@ -727,212 +767,103 @@ int cmd_train(const CliOptions& options) {
   return 0;
 }
 
+std::ifstream open_input(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  return in;
+}
+
 int cmd_run_or_compare(const CliOptions& options, ObsSession* obs) {
   PhaseTimers timers;
-  std::optional<Experiment> experiment_storage;
-  {
-    const auto scope = timers.scope("setup");
-    experiment_storage.emplace(options.experiment);
-  }
-  Experiment& experiment = *experiment_storage;
-
-  // Optional deadline assignment.
-  std::vector<JobArrival> arrivals = experiment.arrivals();
-  if (options.slack.has_value()) {
-    std::vector<Cycles> reference(experiment.suite().size(), 0);
-    for (std::size_t id = 0; id < experiment.suite().size(); ++id) {
-      reference[id] = experiment.suite()
-                          .benchmark(id)
-                          .profile_for(DesignSpace::base_config())
-                          .energy.total_cycles;
-    }
-    RealtimeOptions rt;
-    rt.slack_factor = *options.slack;
-    rt.priority_levels = 3;
-    Rng rng(options.experiment.seed ^ 0x5151);
-    assign_realtime_attributes(arrivals, reference, rt, rng);
-  }
-
-  // Optional snapshot predictor.
-  std::optional<PredictorSnapshot> snapshot;
-  if (!options.load_path.empty()) {
-    std::ifstream in(options.load_path);
-    if (!in) {
-      std::cerr << "cannot open " << options.load_path << "\n";
-      return 1;
-    }
-    snapshot = PredictorSnapshot::load(in);
-    std::cout << "loaded predictor snapshot (" << snapshot->member_count()
-              << " nets) from " << options.load_path << "\n";
-  }
-  const SizePredictor& predictor =
-      snapshot.has_value()
-          ? static_cast<const SizePredictor&>(*snapshot)
-          : static_cast<const SizePredictor&>(experiment.predictor());
-
-  // Optional fault plan: a plan file, a uniform rate, or a file with its
-  // rates/seed overridden from the command line.
-  std::optional<FaultPlan> fault_plan;
+  // The flag template plus the fault flags: a plan file, a uniform rate,
+  // or a file with its rates/seed overridden.
+  Scenario flags = options.run;
   if (!options.fault_plan_path.empty()) {
-    std::ifstream in(options.fault_plan_path);
-    if (!in) {
-      std::cerr << "cannot open " << options.fault_plan_path << "\n";
-      return 1;
-    }
-    fault_plan = FaultPlan::parse(in);
+    std::ifstream in = open_input(options.fault_plan_path);
+    flags.faults = FaultPlan::parse(in);
   }
   if (options.fault_rate.has_value()) {
-    if (!fault_plan.has_value()) fault_plan.emplace();
-    fault_plan->reconfig_failure_rate = *options.fault_rate;
-    fault_plan->stuck_job_rate = *options.fault_rate;
-    fault_plan->counter_corruption_rate = *options.fault_rate;
+    flags.faults.reconfig_failure_rate = *options.fault_rate;
+    flags.faults.stuck_job_rate = *options.fault_rate;
+    flags.faults.counter_corruption_rate = *options.fault_rate;
   }
-  if (options.fault_seed.has_value()) {
-    if (!fault_plan.has_value()) fault_plan.emplace();
-    fault_plan->seed = *options.fault_seed;
-  }
-
-  const QueueDiscipline discipline = parse_discipline(options.discipline);
-  // --cores selects the machine size for every system: the paper layouts
-  // at 4 (the default), the scaled heterogeneous layout otherwise.
-  const std::size_t cores = options.experiment.core_count;
-  const SystemConfig hetero_system =
-      cores == 4 ? SystemConfig::paper_quadcore()
-                 : SystemConfig::scaled_heterogeneous(cores);
-  // Every system the run/compare commands can name comes out of the
-  // policy registry — including portfolio:... specs. `keep_policy`
-  // (optional) receives the policy after the run so the caller can read
-  // selector stats out of a portfolio; compare passes nullptr.
-  auto run_system = [&](const std::string& name, ScheduleObserver* observer,
-                        std::unique_ptr<SchedulerPolicy>* keep_policy)
-      -> SimulationResult {
+  if (options.fault_seed.has_value()) flags.faults.seed = *options.fault_seed;
+  // compare: the four Section-V systems over one stream, fanned out
+  // over the shared pool; run: the one named system. Each runs on the
+  // machine its policy runs on.
+  const std::vector<std::string> names =
+      options.command == "compare"
+          ? std::vector<std::string>{"base", "optimal", "energy-centric",
+                                     "proposed"}
+          : std::vector<std::string>{options.system};
+  std::vector<Scenario> scenarios;
+  for (const std::string& name : names) {
     const PolicyRegistry& registry = PolicyRegistry::instance();
     if (!registry.known(name)) {
       usage("unknown system " + name + " (expected " +
             registry.names_help() + ")");
     }
-    const PolicyContext ctx{&predictor, &experiment.suite(),
-                            options.experiment.seed};
-    std::unique_ptr<SchedulerPolicy> policy = registry.make(name, ctx);
-    // The base system pins every core to the base configuration; all
-    // other policies run on the heterogeneous layout.
-    const SystemConfig system =
-        name == "base" ? SystemConfig::fixed_base(cores) : hetero_system;
-    MulticoreSimulator sim(system, experiment.suite(), experiment.energy(),
-                           *policy, discipline);
-    if (observer != nullptr) sim.set_observer(observer);
-    // Each run gets a fresh injector so fault decisions cannot leak
-    // between the systems of a compare.
-    std::optional<FaultInjector> injector;
-    if (fault_plan.has_value()) {
-      injector.emplace(*fault_plan);
-      sim.set_fault_injector(&*injector);
-    }
-    SimulationResult result = sim.run(arrivals);
-    if (keep_policy != nullptr) *keep_policy = std::move(policy);
-    return result;
-  };
-
-  if (options.command == "run") {
-    EventTracer* tracer =
-        obs != nullptr ? &obs->add_system_tracer(options.system) : nullptr;
-    std::optional<WindowedCollector> windowed;
-    std::optional<JobSpanCollector> spans;
-    if (options.wants_windows()) {
-      windowed.emplace(cores,
-                       WindowedOptions{options.window_cycles, 0},
-                       &experiment.suite());
-      spans.emplace(options.system, options.window_cycles);
-      windowed->set_span_source(&*spans);
-    }
-    // Span collector before the windowed one: the windowed collector
-    // pulls the closed window's latency digest when it closes its own.
-    FanoutObserver fanout(
-        {tracer, spans.has_value() ? &*spans : nullptr,
-         windowed.has_value() ? &*windowed : nullptr});
-    ScheduleObserver* observer =
-        windowed.has_value() ? static_cast<ScheduleObserver*>(&fanout)
-                             : tracer;
-    SimulationResult result;
-    std::unique_ptr<SchedulerPolicy> run_policy;
-    {
-      const auto scope = timers.scope("run");
-      result = run_system(options.system, observer, &run_policy);
-    }
-    if (spans.has_value()) spans->finalize();
-    if (windowed.has_value()) windowed->finalize();
-    if (obs != nullptr) {
-      record_result_metrics(obs->metrics, options.system + ".", result);
-    }
-    print_result(options.system, result);
-
-    RunReport report;
-    report.command = "run";
-    report.name = options.system;
-    report.policy = options.system;
-    report.system = options.system == "base"
-                        ? "fixed-base"
-                        : (cores == 4 ? "paper-quad" : "scaled");
-    report.discipline = options.discipline;
-    report.cores = cores;
-    report.seed = options.experiment.seed;
-    report.jobs = arrivals.size();
-    report.suite_key =
-        suite_cache_key(options.experiment.suite, experiment.energy());
-    report.completed_jobs = result.completed_jobs;
-    report.makespan = result.makespan;
-    report.total_energy_mj = result.total_energy().millijoules();
-    if (windowed.has_value()) {
-      attach_window_summary(report, *windowed, AnomalyConfig{});
-    }
-    if (spans.has_value()) attach_latency_summary(report, {&*spans});
-    std::string windows =
-        windowed.has_value() ? windows_jsonl(*windowed) : std::string();
-    if (const auto* portfolio =
-            dynamic_cast<const PortfolioPolicy*>(run_policy.get())) {
-      const PortfolioStats pstats = portfolio->stats();
-      print_portfolio(pstats);
-      attach_portfolio_summary(report, pstats);
-      if (windowed.has_value()) windows += portfolio_switch_jsonl(pstats);
-    }
-    return export_reports(options, obs, timers, std::move(report),
-                          windows);
+    Scenario& scenario = scenarios.emplace_back(flags);
+    scenario.name = scenario.policy = name;
+    scenario.system = default_machine(name, scenario.cores);
   }
 
-  // compare: the four systems are independent (fresh simulator, policy
-  // and fault injector each), so they fan out over the shared pool.
-  const std::vector<std::string> names = {"base", "optimal",
-                                          "energy-centric", "proposed"};
+  std::unique_ptr<const SizePredictor> loaded;
+  if (!options.load_path.empty()) {
+    std::ifstream in = open_input(options.load_path);
+    auto snapshot =
+        std::make_unique<PredictorSnapshot>(PredictorSnapshot::load(in));
+    std::cout << "loaded predictor snapshot (" << snapshot->member_count()
+              << " nets) from " << options.load_path << "\n";
+    loaded = std::move(snapshot);
+  }
+  // One context serves every system: built for the last one, which is
+  // the ANN-backed proposed system in a compare.
+  std::optional<ScenarioContext> context;
+  {
+    const auto scope = timers.scope("setup");
+    context.emplace(scenarios.back(), options.profile_cache_path,
+                    std::move(loaded));
+  }
+
   // Tracers (and their registry entries) are created serially before the
   // fan-out; each then only sees its own run's events, so the merged
   // output is thread-count independent.
-  std::vector<EventTracer*> tracers(names.size(), nullptr);
-  if (obs != nullptr) {
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      tracers[i] = &obs->add_system_tracer(names[i]);
-    }
+  std::deque<RunCollectors> collectors;
+  for (const Scenario& scenario : scenarios) {
+    collectors.emplace_back(
+        scenario, &context->suite(), options.collector_window(),
+        obs != nullptr ? &obs->add_system_tracer(scenario.name) : nullptr);
   }
-  std::vector<SimulationResult> results(names.size());
-  ThreadPool::global().parallel_for(names.size(), [&](std::size_t i) {
-    results[i] = run_system(names[i], tracers[i], nullptr);
-  });
-  if (obs != nullptr) {
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      record_result_metrics(obs->metrics, names[i] + ".", results[i]);
-    }
+  std::vector<std::optional<ScenarioOutcome>> outcomes(scenarios.size());
+  {
+    const auto scope = timers.scope("run");
+    ThreadPool::global().parallel_for(scenarios.size(), [&](std::size_t i) {
+      outcomes[i].emplace(
+          run_scenario(scenarios[i], *context, collectors[i].observer()));
+    });
   }
-  const SimulationResult& base = results[0];
+  for (RunCollectors& c : collectors) c.finalize();
+
+  if (options.command == "run") {
+    return finish_run(options, obs, timers, "run", scenarios[0], *context,
+                      *outcomes[0], collectors[0]);
+  }
+  const SimulationResult& base = outcomes[0]->result;
   TablePrinter table({"system", "idle", "dynamic", "total", "cycles"});
   for (std::size_t i = 0; i < names.size(); ++i) {
-    const NormalizedEnergy n = normalize(results[i], base);
+    if (obs != nullptr) {
+      record_scenario_metrics(obs->metrics, names[i] + ".", *outcomes[i]);
+    }
+    const NormalizedEnergy n = normalize(outcomes[i]->result, base);
     table.add_row({names[i], TablePrinter::num(n.idle, 2),
                    TablePrinter::num(n.dynamic, 2),
                    TablePrinter::num(n.total, 2),
                    TablePrinter::num(n.cycles, 2)});
   }
   std::cout << "normalised to the base system ("
-            << arrivals.size() << " arrivals, seed "
-            << options.experiment.seed << "):\n";
+            << options.run.arrivals.count << " arrivals, seed "
+            << options.run.seed << "):\n";
   table.print(std::cout);
   return 0;
 }
@@ -950,28 +881,49 @@ std::optional<Scenario> load_scenario(const CliOptions& options) {
   return Scenario::parse(in);
 }
 
-// Checkpointed scenario execution. The checkpointing driver owns the
-// windowed collector (its accumulators are part of the resumable state),
-// no sim tracer is attached (trace buffers are not checkpointed, so a
-// resumed trace could never match), and the report's metrics snapshot
-// comes from a local registry fed only by the deterministic scenario
-// metrics — together with --report-deterministic this makes every output
-// of a resumed run byte-identical to the uninterrupted one.
-int cmd_scenario_checkpointed(const CliOptions& options, ObsSession* obs,
-                              const Scenario& scenario,
-                              const ScenarioContext& context,
-                              PhaseTimers& timers) {
+int cmd_scenario(const CliOptions& options, ObsSession* obs) {
+  PhaseTimers timers;
+  const std::optional<Scenario> scenario = load_scenario(options);
+  if (!scenario.has_value()) return 1;
+  std::optional<ScenarioContext> context;
+  {
+    const auto scope = timers.scope("setup");
+    context.emplace(*scenario, options.profile_cache_path);
+  }
+  if (!options.wants_checkpointing()) {
+    RunCollectors collectors(
+        *scenario, &context->suite(), options.collector_window(),
+        obs != nullptr ? &obs->add_system_tracer(scenario->name) : nullptr);
+    std::optional<ScenarioOutcome> outcome;
+    {
+      const auto scope = timers.scope("run");
+      outcome.emplace(
+          run_scenario(*scenario, *context, collectors.observer()));
+    }
+    collectors.finalize();
+    return finish_run(options, obs, timers, "scenario", *scenario, *context,
+                      *outcome, collectors);
+  }
+
+  // Checkpointed execution: the driver owns the collectors (their
+  // accumulators are part of the resumable state) and no sim tracer is
+  // attached (trace buffers are not checkpointed, so a resumed trace
+  // could never match). With --report-deterministic every output of a
+  // resumed run is byte-identical to the uninterrupted one.
+  if (!options.trace_out_path.empty()) {
+    usage("--trace-out cannot be combined with checkpoint/resume flags "
+          "(trace buffers are not part of the checkpointed state)");
+  }
   CheckpointRunOptions copts;
   copts.window_cycles = options.window_cycles;
   copts.checkpoint_every = options.checkpoint_every;
   copts.checkpoint_out = options.checkpoint_out_path;
   copts.resume_from = options.resume_from_path;
   copts.halt_after_checkpoints = options.halt_after_checkpoints;
-
   std::optional<CheckpointRunOutcome> outcome;
   {
     const auto scope = timers.scope("run");
-    outcome.emplace(run_scenario_checkpointed(scenario, context, copts));
+    outcome.emplace(run_scenario_checkpointed(*scenario, *context, copts));
   }
   if (outcome->resumed_from > 0) {
     std::cout << "resumed from checkpoint boundary " << outcome->resumed_from
@@ -987,149 +939,8 @@ int cmd_scenario_checkpointed(const CliOptions& options, ObsSession* obs,
               << copts.checkpoint_out << "\n";
     return 3;
   }
-
-  print_result(scenario.name, outcome->result);
-  std::cout << "stream: " << outcome->stream.slices() << " slices, digest 0x"
-            << std::hex << outcome->stream.digest() << std::dec << ", "
-            << outcome->stream.invariant_violations()
-            << " invariant violations\n";
-  if (outcome->portfolio.has_value()) print_portfolio(*outcome->portfolio);
-  if (outcome->dag.has_value()) print_dag(*outcome->dag);
-  // Checkpoint outcomes carry no dispatch telemetry (it is per-process,
-  // not part of the resumable state); record an empty block.
-  const ScenarioOutcome view{outcome->result, outcome->stream,
-                             DispatchTelemetry{}, outcome->portfolio,
-                             outcome->dag};
-  if (obs != nullptr) {
-    record_scenario_metrics(obs->metrics, scenario.name + ".", view);
-  }
-
-  RunReport report;
-  report.command = "scenario";
-  report.name = scenario.name;
-  report.policy = scenario.policy;
-  report.system = std::string(to_string(scenario.system));
-  report.discipline = std::string(to_string(scenario.discipline));
-  report.cores = scenario.make_system().core_count();
-  report.seed = scenario.seed;
-  report.jobs = scenario.arrivals.count;
-  report.suite_key = suite_cache_key(scenario.suite, context.energy());
-  report.completed_jobs = outcome->result.completed_jobs;
-  report.makespan = outcome->result.makespan;
-  report.total_energy_mj = outcome->result.total_energy().millijoules();
-  report.stream_digest = outcome->stream.digest();
-  attach_window_summary(report, outcome->windows, AnomalyConfig{});
-  attach_latency_summary(report, {&outcome->spans});
-  std::string windows = windows_jsonl(outcome->windows);
-  if (outcome->portfolio.has_value()) {
-    attach_portfolio_summary(report, *outcome->portfolio);
-    windows += portfolio_switch_jsonl(*outcome->portfolio);
-  }
-  if (outcome->dag.has_value()) attach_dag_summary(report, *outcome->dag);
-  MetricsRegistry local;
-  record_scenario_metrics(local, scenario.name + ".", view);
-  report.metrics_json = local.to_json();
-  // obs deliberately not forwarded: the report must not absorb the
-  // wall-clock-dependent probe metrics.
-  const int export_status =
-      export_reports(options, nullptr, timers, std::move(report),
-                     windows);
-  if (export_status != 0) return export_status;
-  return outcome->stream.invariant_violations() == 0 ? 0 : 1;
-}
-
-int cmd_scenario(const CliOptions& options, ObsSession* obs) {
-  PhaseTimers timers;
-  const std::optional<Scenario> scenario = load_scenario(options);
-  if (!scenario.has_value()) return 1;
-  std::optional<ScenarioContext> context;
-  {
-    const auto scope = timers.scope("setup");
-    context.emplace(*scenario, options.experiment.profile_cache_path);
-  }
-
-  if (options.wants_checkpointing()) {
-    if (!options.trace_out_path.empty()) {
-      usage("--trace-out cannot be combined with checkpoint/resume flags "
-            "(trace buffers are not part of the checkpointed state)");
-    }
-    return cmd_scenario_checkpointed(options, obs, *scenario, *context,
-                                     timers);
-  }
-
-  EventTracer* tracer =
-      obs != nullptr ? &obs->add_system_tracer(scenario->name) : nullptr;
-  std::optional<WindowedCollector> windowed;
-  std::optional<JobSpanCollector> spans;
-  if (options.wants_windows()) {
-    windowed.emplace(scenario->make_system().core_count(),
-                     WindowedOptions{options.window_cycles, 0},
-                     &context->suite());
-    spans.emplace(scenario->policy, options.window_cycles);
-    windowed->set_span_source(&*spans);
-  }
-  // Span collector before the windowed one (window-close handshake).
-  FanoutObserver fanout(
-      {tracer, spans.has_value() ? &*spans : nullptr,
-       windowed.has_value() ? &*windowed : nullptr});
-  ScheduleObserver* extra = nullptr;
-  if (windowed.has_value()) {
-    extra = &fanout;
-  } else if (tracer != nullptr) {
-    extra = tracer;
-  }
-
-  std::optional<ScenarioOutcome> outcome;
-  {
-    const auto scope = timers.scope("run");
-    outcome.emplace(run_scenario(*scenario, *context, extra));
-  }
-  if (spans.has_value()) spans->finalize();
-  if (windowed.has_value()) windowed->finalize();
-  print_result(scenario->name, outcome->result);
-  std::cout << "stream: " << outcome->stream.slices() << " slices, digest 0x"
-            << std::hex << outcome->stream.digest() << std::dec << ", "
-            << outcome->stream.invariant_violations()
-            << " invariant violations\n";
-  if (obs != nullptr) {
-    record_scenario_metrics(obs->metrics, scenario->name + ".", *outcome);
-  }
-
-  RunReport report;
-  report.command = "scenario";
-  report.name = scenario->name;
-  report.policy = scenario->policy;
-  report.system = std::string(to_string(scenario->system));
-  report.discipline = std::string(to_string(scenario->discipline));
-  report.cores = scenario->make_system().core_count();
-  report.seed = scenario->seed;
-  report.jobs = scenario->arrivals.count;
-  report.suite_key = suite_cache_key(scenario->suite, context->energy());
-  report.completed_jobs = outcome->result.completed_jobs;
-  report.makespan = outcome->result.makespan;
-  report.total_energy_mj = outcome->result.total_energy().millijoules();
-  report.stream_digest = outcome->stream.digest();
-  if (windowed.has_value()) {
-    attach_window_summary(report, *windowed, AnomalyConfig{});
-  }
-  if (spans.has_value()) attach_latency_summary(report, {&*spans});
-  std::string windows =
-      windowed.has_value() ? windows_jsonl(*windowed) : std::string();
-  if (outcome->portfolio.has_value()) {
-    print_portfolio(*outcome->portfolio);
-    attach_portfolio_summary(report, *outcome->portfolio);
-    if (windowed.has_value()) {
-      windows += portfolio_switch_jsonl(*outcome->portfolio);
-    }
-  }
-  if (outcome->dag.has_value()) {
-    print_dag(*outcome->dag);
-    attach_dag_summary(report, *outcome->dag);
-  }
-  const int export_status =
-      export_reports(options, obs, timers, std::move(report), windows);
-  if (export_status != 0) return export_status;
-  return outcome->stream.invariant_violations() == 0 ? 0 : 1;
+  return finish_run(options, obs, timers, "scenario", *scenario, *context,
+                    *outcome, *outcome->collectors);
 }
 
 // "8,16" -> {8, 16}; parse errors go through the flag's usual parser.
@@ -1173,18 +984,19 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
   std::optional<ScenarioContext> context;
   {
     const auto scope = timers.scope("setup");
-    context.emplace(grid.context_scenario(),
-                    options.experiment.profile_cache_path);
+    context.emplace(grid.context_scenario(), options.profile_cache_path);
   }
   const std::size_t shards =
       options.shards == 0 ? grid.cell_count() : options.shards;
 
   // Supervised mode: per-cell timeout/retry/quarantine, optional shard
-  // manifest for resume. Cell telemetry is captured by the supervisor
-  // itself (and carried through the manifest), so no per-cell tracers —
-  // a resumed sweep must reproduce the merged outputs byte-identically
-  // without re-running completed cells.
-  if (options.wants_supervision()) {
+  // manifest for resume. Completed cells resumed from a manifest are not
+  // re-run, so there are no per-cell tracers; their collectors come back
+  // from the manifest, so the merged outputs match a clean run's.
+  const bool supervised = options.wants_supervision();
+  std::vector<SweepCell> cells;
+  std::vector<SweepFailure> failed;
+  if (supervised) {
     if (!options.trace_out_path.empty()) {
       usage("--trace-out cannot be combined with supervised-sweep flags "
             "(completed cells resumed from a manifest are not re-run)");
@@ -1193,11 +1005,9 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
     sopts.cell_timeout_ms = options.cell_timeout_ms;
     sopts.max_attempts = options.cell_retries;
     sopts.retry_backoff_ms = options.cell_backoff_ms;
-    sopts.window_cycles =
-        options.wants_windows() ? options.window_cycles : 0;
+    sopts.window_cycles = options.collector_window();
     sopts.manifest_out = options.manifest_out_path;
     sopts.resume_manifest = options.resume_from_path;
-
     std::optional<SupervisedSweepResult> sweep;
     {
       const auto scope = timers.scope("run");
@@ -1208,195 +1018,61 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
       std::cout << sweep->resumed_cells
                 << " cell(s) resumed from the manifest\n";
     }
-
-    TablePrinter table({"cell", "status", "completed", "total mJ",
-                        "makespan", "digest"});
-    std::uint64_t violations = 0;
-    for (const SweepCell& cell : sweep->cells) {
-      if (!cell.completed) {
-        table.add_row({cell.label, "FAILED", "-", "-", "-", "-"});
-        continue;
-      }
-      std::ostringstream digest;
-      digest << std::hex << cell.stream_digest;
-      table.add_row(
-          {cell.label, "ok", std::to_string(cell.result.completed_jobs),
-           TablePrinter::num(cell.result.total_energy().millijoules(), 2),
-           std::to_string(cell.result.makespan), digest.str()});
-      violations += cell.invariant_violations;
+    cells = std::move(sweep->cells);
+    failed = std::move(sweep->failed);
+  } else {
+    // Per-cell tracers, created serially before the fan-out (stable
+    // registration order), each touched only by the shard running its
+    // cell.
+    std::vector<EventTracer*> tracers;
+    for (std::size_t i = 0; obs != nullptr && i < grid.cell_count(); ++i) {
+      tracers.push_back(&obs->add_system_tracer(grid.cell_label(i)));
     }
-    std::cout << grid.cell_count() << " cells in " << shards << " shards ("
-              << ThreadPool::global().thread_count() << " threads, "
-              << sweep->failed.size() << " quarantined):\n";
-    table.print(std::cout);
-    for (const SweepFailure& f : sweep->failed) {
-      std::cerr << "quarantined " << f.label << " after " << f.attempts
-                << " attempt(s): " << (f.timed_out ? "timeout: " : "")
-                << f.reason << "\n";
-    }
-    if (obs != nullptr) {
-      record_sweep_metrics(obs->metrics, "sweep.", sweep->cells);
-    }
-
-    RunReport report;
-    report.command = "sweep";
-    report.name = base->name;
-    report.policy = options.sweep_policies;
-    report.system = "grid";
-    report.discipline = std::string(to_string(base->discipline));
-    report.cores = 0;
-    report.seed = base->seed;
-    report.jobs = static_cast<std::uint64_t>(base->arrivals.count) *
-                  sweep->cells.size();
-    report.suite_key = suite_cache_key(base->suite, context->energy());
-    std::string windows;
-    for (const SweepCell& cell : sweep->cells) {
-      if (!cell.completed) continue;
-      report.completed_jobs += cell.result.completed_jobs;
-      report.makespan =
-          std::max<std::uint64_t>(report.makespan, cell.result.makespan);
-      report.total_energy_mj += cell.result.total_energy().millijoules();
-      report.window_cycles = sopts.window_cycles;
-      report.windows_closed += cell.windows_closed;
-      report.dropped_windows += cell.dropped_windows;
-      report.window_jobs_completed += cell.window_jobs_completed;
-      report.window_energy_mj += cell.window_energy_mj;
-      windows += cell.windows_jsonl;
-    }
-    for (const SweepFailure& f : sweep->failed) {
-      report.failed_cells.push_back(
-          {f.label, f.attempts, f.timed_out, f.reason});
-    }
-    // Like the checkpointed scenario path, the report's metrics come
-    // from a local registry so a resumed sweep's report is
-    // byte-identical to a clean run's.
-    MetricsRegistry local;
-    record_sweep_metrics(local, "sweep.", sweep->cells);
-    report.metrics_json = local.to_json();
-    const int export_status =
-        export_reports(options, nullptr, timers, std::move(report), windows);
-    if (export_status != 0) return export_status;
-    if (!sweep->failed.empty()) return 1;
-    if (violations != 0) {
-      std::cerr << "error: " << violations
-                << " schedule invariant violations\n";
-      return 1;
-    }
-    return 0;
-  }
-
-  // Per-cell recorders: one tracer and/or windowed collector per cell,
-  // created serially before the fan-out (stable registration order),
-  // each touched only by the shard running its cell.
-  auto cell_label = [&](std::size_t i) {
-    const Scenario cell = grid.cell_scenario(i);
-    const std::size_t gap_i =
-        (i / grid.policies.size()) % grid.mean_gaps.size();
-    return "c" + std::to_string(cell.cores) + ".g" + std::to_string(gap_i) +
-           "." + cell.policy;
-  };
-  std::deque<WindowedCollector> collectors;  // stable addresses
-  std::deque<JobSpanCollector> cell_spans;
-  std::deque<FanoutObserver> fanouts;
-  std::vector<ScheduleObserver*> cell_observers;
-  if (obs != nullptr || options.wants_windows()) {
-    for (std::size_t i = 0; i < grid.cell_count(); ++i) {
-      EventTracer* tracer =
-          obs != nullptr ? &obs->add_system_tracer(cell_label(i)) : nullptr;
-      WindowedCollector* collector = nullptr;
-      JobSpanCollector* spans = nullptr;
-      if (options.wants_windows()) {
-        collectors.emplace_back(
-            grid.cell_scenario(i).make_system().core_count(),
-            WindowedOptions{options.window_cycles, 0}, &context->suite());
-        collector = &collectors.back();
-        // Per-cell spans, labelled by the cell's policy so the merged
-        // report breaks latency down per contender.
-        cell_spans.emplace_back(grid.cell_scenario(i).policy,
-                                options.window_cycles);
-        spans = &cell_spans.back();
-        collector->set_span_source(spans);
-      }
-      if (collector != nullptr) {
-        fanouts.emplace_back(
-            std::vector<ScheduleObserver*>{tracer, spans, collector});
-        cell_observers.push_back(&fanouts.back());
-      } else {
-        cell_observers.push_back(tracer);
-      }
-    }
-  }
-
-  std::vector<SweepCell> cells;
-  {
     const auto scope = timers.scope("run");
     cells = run_sweep(grid, *context, shards, ThreadPool::global(),
-                      cell_observers);
+                      options.collector_window(), tracers);
   }
-  for (JobSpanCollector& spans : cell_spans) spans.finalize();
-  for (WindowedCollector& collector : collectors) collector.finalize();
 
-  TablePrinter table({"cell", "completed", "total mJ", "makespan",
-                      "digest"});
+  std::vector<std::string> columns{"cell"};
+  if (supervised) columns.push_back("status");
+  for (const char* column : {"completed", "total mJ", "makespan", "digest"}) {
+    columns.push_back(column);
+  }
+  TablePrinter table(columns);
   std::uint64_t violations = 0;
   for (const SweepCell& cell : cells) {
+    std::vector<std::string> row{cell.label};
+    if (supervised) row.push_back(cell.completed ? "ok" : "FAILED");
+    if (!cell.completed) {
+      row.insert(row.end(), 4, "-");
+      table.add_row(row);
+      continue;
+    }
     std::ostringstream digest;
     digest << std::hex << cell.stream_digest;
-    table.add_row({cell.label, std::to_string(cell.result.completed_jobs),
-                   TablePrinter::num(cell.result.total_energy().millijoules(),
-                                     2),
-                   std::to_string(cell.result.makespan), digest.str()});
+    row.insert(row.end(),
+               {std::to_string(cell.result.completed_jobs),
+                TablePrinter::num(cell.result.total_energy().millijoules(), 2),
+                std::to_string(cell.result.makespan), digest.str()});
+    table.add_row(row);
     violations += cell.invariant_violations;
   }
   std::cout << grid.cell_count() << " cells in " << shards << " shards ("
-            << ThreadPool::global().thread_count() << " threads):\n";
+            << ThreadPool::global().thread_count() << " threads";
+  if (supervised) std::cout << ", " << failed.size() << " quarantined";
+  std::cout << "):\n";
   table.print(std::cout);
+  for (const SweepFailure& f : failed) {
+    std::cerr << "quarantined " << f.label << " after " << f.attempts
+              << " attempt(s): " << (f.timed_out ? "timeout: " : "")
+              << f.reason << "\n";
+  }
   if (obs != nullptr) record_sweep_metrics(obs->metrics, "sweep.", cells);
 
-  // Aggregated sweep report: totals over the grid; window summary sums
-  // each cell's collector (per-cell windows land in --windows-out, one
-  // JSONL block per cell in grid order, window indices restarting at 0).
-  RunReport report;
-  report.command = "sweep";
-  report.name = base->name;
-  report.policy = options.sweep_policies;
-  report.system = "grid";
-  report.discipline = std::string(to_string(base->discipline));
-  report.cores = 0;
-  report.seed = base->seed;
-  report.jobs =
-      static_cast<std::uint64_t>(base->arrivals.count) * cells.size();
-  report.suite_key = suite_cache_key(base->suite, context->energy());
-  std::string windows;
-  for (const SweepCell& cell : cells) {
-    report.completed_jobs += cell.result.completed_jobs;
-    report.makespan = std::max<std::uint64_t>(report.makespan,
-                                              cell.result.makespan);
-    report.total_energy_mj += cell.result.total_energy().millijoules();
-  }
-  for (const WindowedCollector& collector : collectors) {
-    report.window_cycles = collector.window_cycles();
-    report.windows_closed += collector.windows_closed();
-    report.dropped_windows += collector.dropped_windows();
-    for (const WindowRecord& w : collector.windows()) {
-      report.window_jobs_completed += w.jobs_completed;
-      report.window_energy_mj += w.energy_mj;
-    }
-    windows += windows_jsonl(collector);
-  }
-  if (!cell_spans.empty()) {
-    // Merged per-policy latency: cells sharing a policy fold into one
-    // row (fixed histogram boundaries make the merge exact).
-    std::vector<const JobSpanCollector*> span_ptrs;
-    for (const JobSpanCollector& spans : cell_spans) {
-      span_ptrs.push_back(&spans);
-    }
-    attach_latency_summary(report, span_ptrs);
-  }
-  const int export_status =
-      export_reports(options, obs, timers, std::move(report), windows);
+  const int export_status = export_reports(
+      options, timers, build_sweep_report(grid, *context, cells, failed));
   if (export_status != 0) return export_status;
-
+  if (!failed.empty()) return 1;
   if (violations != 0) {
     std::cerr << "error: " << violations << " schedule invariant violations\n";
     return 1;
@@ -1503,11 +1179,11 @@ int cmd_analyze(const CliOptions& options) {
 int main(int argc, char** argv) {
   const CliOptions options = parse(argc, argv);
   // Observability is opt-in: with neither flag the probe stays null and
-  // the simulators run observer-free (the zero-cost disabled path).
+  // the simulators run tracer-free (the zero-cost disabled path). The
+  // run report needs no session: its metrics are the run's own.
   std::optional<ObsSession> obs;
   std::optional<ScopedProbe> probe;
-  if (!options.trace_out_path.empty() || !options.metrics_out_path.empty() ||
-      !options.report_out_path.empty()) {
+  if (!options.trace_out_path.empty() || !options.metrics_out_path.empty()) {
     obs.emplace();
     obs->trace_path = options.trace_out_path;
     obs->metrics_path = options.metrics_out_path;
