@@ -3,10 +3,13 @@
 // The observability layer must be zero-cost when disabled (no observer,
 // no probe — the hot paths see one null check) and cheap when enabled.
 // This bench times the proposed system over the quick-scale stream in
-// three modes:
+// the modes the CLI flags attach:
 //
 //   disabled : no observer, no probe (the default production path)
-//   metrics  : EventTracer attached, counters/histogram maintained
+//   metrics  : SimCounters attached, counters/histogram maintained
+//              (what --metrics-out attaches; nothing is retained)
+//   trace    : EventTracer with a registry: every event retained plus
+//              the same counters (what --trace-out attaches)
 //   full     : tracer + metrics + global ProbeRecorder installed
 //   windowed : WindowedCollector attached (per-window telemetry)
 //   all      : tracer (job spans on) + span collector + windowed
@@ -27,6 +30,7 @@
 #include "experiment/experiment.hpp"
 #include "obs/latency.hpp"
 #include "obs/observability.hpp"
+#include "obs/sim_counters.hpp"
 #include "obs/windowed.hpp"
 #include "util/atomic_file.hpp"
 #include "util/contracts.hpp"
@@ -58,10 +62,20 @@ int main() {
     for (int i = 0; i < kRepeats; ++i) reference = experiment.run_proposed();
   });
 
-  // Tracer + metrics registry attached to the simulator.
+  // Counters only, as --metrics-out attaches them.
+  SystemRun counted;
+  const double metrics_ms = time_ms([&] {
+    for (int i = 0; i < kRepeats; ++i) {
+      MetricsRegistry metrics;
+      SimCounters counters(metrics);
+      counted = experiment.run_proposed(&counters);
+    }
+  });
+
+  // The retaining tracer with its counters, as --trace-out attaches it.
   SystemRun traced;
   std::size_t trace_events = 0;
-  const double metrics_ms = time_ms([&] {
+  const double trace_ms = time_ms([&] {
     for (int i = 0; i < kRepeats; ++i) {
       MetricsRegistry metrics;
       EventTracer tracer(&metrics);
@@ -135,6 +149,7 @@ int main() {
     HETSCHED_REQUIRE(run.result.completed_jobs ==
                      reference.result.completed_jobs);
   };
+  same(counted);
   same(traced);
   same(full);
   same(windowed_run);
@@ -153,7 +168,8 @@ int main() {
                    TablePrinter::num(ms / disabled_ms, 3) + "x"});
   };
   add("disabled", disabled_ms);
-  add("tracer + metrics", metrics_ms);
+  add("metrics (counters)", metrics_ms);
+  add("tracer + metrics", trace_ms);
   add("tracer + metrics + probe", full_ms);
   add("windowed collector", windowed_ms);
   add("tracer + spans + windowed", all_ms);
@@ -171,10 +187,12 @@ int main() {
        << "  \"windows_closed_per_run\": " << windows_closed << ",\n"
        << "  \"disabled_ms\": " << disabled_ms << ",\n"
        << "  \"metrics_ms\": " << metrics_ms << ",\n"
+       << "  \"trace_ms\": " << trace_ms << ",\n"
        << "  \"full_ms\": " << full_ms << ",\n"
        << "  \"windowed_ms\": " << windowed_ms << ",\n"
        << "  \"all_ms\": " << all_ms << ",\n"
        << "  \"metrics_overhead\": " << metrics_ms / disabled_ms << ",\n"
+       << "  \"trace_overhead\": " << trace_ms / disabled_ms << ",\n"
        << "  \"full_overhead\": " << full_ms / disabled_ms << ",\n"
        << "  \"windowed_overhead\": " << windowed_ms / disabled_ms << ",\n"
        << "  \"all_overhead\": " << all_ms / disabled_ms << "\n"

@@ -83,11 +83,11 @@ void fill_cell_identity(SweepCell& cell, const SweepGrid& grid,
 // boundary without detaching threads.
 SweepCell run_cell(const SweepGrid& grid, std::size_t index,
                    const ScenarioContext& context, SimTime window_cycles,
-                   EventTracer* tracer, std::uint64_t timeout_ms = 0,
+                   ScheduleObserver* observer, std::uint64_t timeout_ms = 0,
                    SimTime slice = 1'000'000) {
   const Scenario scenario = grid.cell_scenario(index);
   auto collectors = std::make_shared<RunCollectors>(
-      scenario, &context.suite(), window_cycles, tracer);
+      scenario, &context.suite(), window_cycles, observer);
   ScenarioRun run(scenario, context, collectors->observer());
   run.start();
   if (timeout_ms == 0) {
@@ -133,12 +133,13 @@ std::string load_manifest_text(const SweepSupervisorOptions& options) {
 std::vector<SweepCell> run_sweep(
     const SweepGrid& grid, const ScenarioContext& context,
     std::size_t shards, ThreadPool& pool, SimTime window_cycles,
-    std::span<EventTracer* const> cell_tracers) {
+    std::span<ScheduleObserver* const> cell_observers) {
   grid.validate();
   HETSCHED_REQUIRE(shards >= 1 && "shards must be >= 1");
   const std::size_t cells = grid.cell_count();
-  HETSCHED_REQUIRE((cell_tracers.empty() || cell_tracers.size() == cells) &&
-                   "cell_tracers must be empty or one per cell");
+  HETSCHED_REQUIRE(
+      (cell_observers.empty() || cell_observers.size() == cells) &&
+      "cell_observers must be empty or one per cell");
   shards = std::min(shards, cells);
 
   std::vector<SweepCell> results(cells);
@@ -150,7 +151,8 @@ std::vector<SweepCell> run_sweep(
     const std::size_t end = (shard + 1) * cells / shards;
     for (std::size_t i = begin; i < end; ++i) {
       results[i] = run_cell(grid, i, context, window_cycles,
-                            cell_tracers.empty() ? nullptr : cell_tracers[i]);
+                            cell_observers.empty() ? nullptr
+                                                   : cell_observers[i]);
     }
   });
   return results;

@@ -73,13 +73,14 @@ struct SweepCell {
 // grid order. `context` must come from grid.context_scenario() (or any
 // scenario with identical suite/predictor parameters). With
 // `window_cycles` > 0 every cell keeps its own RunCollectors.
-// `cell_tracers` is either empty or one tracer per cell (nulls allowed):
-// tracer i records cell i, touched only by the shard running that cell,
-// so one tracer must not be aliased across cells.
+// `cell_observers` is either empty or one observer per cell (nulls
+// allowed), e.g. an EventTracer or SimCounters: observer i sees cell i
+// only, touched only by the shard running that cell, so one observer
+// must not be aliased across cells.
 std::vector<SweepCell> run_sweep(
     const SweepGrid& grid, const ScenarioContext& context,
     std::size_t shards, ThreadPool& pool, SimTime window_cycles = 0,
-    std::span<EventTracer* const> cell_tracers = {});
+    std::span<ScheduleObserver* const> cell_observers = {});
 
 // Deposits one result bucket per cell under `prefix` + cell label, plus
 // the per-cell stream digest and invariant-violation counters.

@@ -2,8 +2,6 @@
 
 #include <ostream>
 
-#include "obs/metrics.hpp"
-
 namespace hetsched {
 namespace {
 
@@ -12,29 +10,14 @@ std::string u64(std::uint64_t v) { return std::to_string(v); }
 }  // namespace
 
 EventTracer::EventTracer(MetricsRegistry* metrics,
-                         const std::string& prefix)
-    : metrics_(metrics) {
-  if (metrics_ == nullptr) return;
-  dispatches_ = &metrics_->counter(prefix + "dispatches");
-  slices_ = &metrics_->counter(prefix + "slices");
-  completed_slices_ = &metrics_->counter(prefix + "completed_slices");
-  preempted_slices_ = &metrics_->counter(prefix + "preempted_slices");
-  preemptions_ = &metrics_->counter(prefix + "preemptions");
-  reconfig_attempts_ = &metrics_->counter(prefix + "reconfig_attempts");
-  reconfig_failures_ = &metrics_->counter(prefix + "reconfig_failures");
-  idle_intervals_ = &metrics_->counter(prefix + "idle_intervals");
-  idle_cycles_ = &metrics_->counter(prefix + "idle_cycles");
-  faults_ = &metrics_->counter(prefix + "faults");
-  watchdog_fires_ = &metrics_->counter(prefix + "watchdog_fires");
-  dropped_counter_ = &metrics_->counter(prefix + "dropped_trace_events");
-  slice_cycles_ =
-      &metrics_->histogram(prefix + "slice_cycles", 0.0, 1e6, 20);
+                         const std::string& prefix) {
+  if (metrics != nullptr) counters_.emplace(*metrics, prefix);
 }
 
 bool EventTracer::retain() {
   if (max_events_ != 0 && events_.size() >= max_events_) {
     ++dropped_events_;
-    if (dropped_counter_ != nullptr) dropped_counter_->add();
+    if (counters_.has_value()) counters_->count_dropped_trace_event();
     return false;
   }
   return true;
@@ -58,10 +41,7 @@ void EventTracer::on_slice(const ScheduledSlice& slice) {
                                  {},
                                  slice.job_id});
   }
-  if (metrics_ == nullptr) return;
-  slices_->add();
-  (slice.completed ? completed_slices_ : preempted_slices_)->add();
-  slice_cycles_->record(static_cast<double>(slice.end - slice.start));
+  if (counters_.has_value()) counters_->on_slice(slice);
 }
 
 void EventTracer::on_fault(const FaultRecord& record) {
@@ -71,11 +51,7 @@ void EventTracer::on_fault(const FaultRecord& record) {
         record.time, 0, static_cast<std::uint32_t>(record.core),
         {{"job", u64(record.job_id)}}});
   }
-  if (metrics_ == nullptr) return;
-  faults_->add();
-  if (record.kind == FaultRecord::Kind::kWatchdogFire) {
-    watchdog_fires_->add();
-  }
+  if (counters_.has_value()) counters_->on_fault(record);
 }
 
 void EventTracer::on_arrival(const ArrivalEvent& event) {
@@ -103,7 +79,7 @@ void EventTracer::on_dispatch(const DispatchEvent& event) {
          {"duration", u64(event.duration)},
          {"hung", event.hung ? "1" : "0"}}});
   }
-  if (dispatches_ != nullptr) dispatches_->add();
+  if (counters_.has_value()) counters_->on_dispatch(event);
 }
 
 void EventTracer::on_reconfig(const ReconfigEvent& event) {
@@ -116,9 +92,7 @@ void EventTracer::on_reconfig(const ReconfigEvent& event) {
          {"success", event.success ? "1" : "0"},
          {"backoff_wait", u64(event.backoff_wait)}}});
   }
-  if (metrics_ == nullptr) return;
-  reconfig_attempts_->add();
-  if (!event.success) reconfig_failures_->add();
+  if (counters_.has_value()) counters_->on_reconfig(event);
 }
 
 void EventTracer::on_idle(const IdleEvent& event) {
@@ -128,9 +102,7 @@ void EventTracer::on_idle(const IdleEvent& event) {
                                  static_cast<std::uint32_t>(event.core),
                                  {}});
   }
-  if (metrics_ == nullptr) return;
-  idle_intervals_->add();
-  idle_cycles_->add(event.to - event.from);
+  if (counters_.has_value()) counters_->on_idle(event);
 }
 
 void EventTracer::on_preempt(const PreemptEvent& event) {
@@ -141,7 +113,7 @@ void EventTracer::on_preempt(const PreemptEvent& event) {
         {{"job", u64(event.job_id)},
          {"was_hung", event.was_hung ? "1" : "0"}}});
   }
-  if (preemptions_ != nullptr) preemptions_->add();
+  if (counters_.has_value()) counters_->on_preempt(event);
 }
 
 void EventTracer::add_span(

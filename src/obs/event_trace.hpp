@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -21,6 +22,7 @@
 
 #include "core/schedule_log.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sim_counters.hpp"
 
 namespace hetsched {
 
@@ -41,9 +43,10 @@ struct TraceEvent {
 };
 
 // A ScheduleObserver that retains the full event stream. When a
-// MetricsRegistry is attached, the tracer also maintains counters and a
-// slice-duration histogram under `prefix` (registered at construction,
-// so registration order is the tracer construction order).
+// MetricsRegistry is attached, the tracer also maintains the SimCounters
+// under `prefix` (registered at construction, so registration order is
+// the tracer construction order). A run that only wants the counters
+// should attach a SimCounters instead: it retains nothing.
 class EventTracer final : public ScheduleObserver {
  public:
   explicit EventTracer(MetricsRegistry* metrics = nullptr,
@@ -95,21 +98,7 @@ class EventTracer final : public ScheduleObserver {
   std::size_t max_events_ = kDefaultMaxEvents;
   std::uint64_t dropped_events_ = 0;
   bool job_spans_ = false;
-  MetricsRegistry* metrics_ = nullptr;
-  // Registered up front (null when metrics_ is null).
-  Counter* dispatches_ = nullptr;
-  Counter* slices_ = nullptr;
-  Counter* completed_slices_ = nullptr;
-  Counter* preempted_slices_ = nullptr;
-  Counter* preemptions_ = nullptr;
-  Counter* reconfig_attempts_ = nullptr;
-  Counter* reconfig_failures_ = nullptr;
-  Counter* idle_intervals_ = nullptr;
-  Counter* idle_cycles_ = nullptr;
-  Counter* faults_ = nullptr;
-  Counter* watchdog_fires_ = nullptr;
-  Counter* dropped_counter_ = nullptr;
-  FixedHistogram* slice_cycles_ = nullptr;
+  std::optional<SimCounters> counters_;  // with a registry only
 };
 
 // Renders one or more tracers as a single Chrome trace-event JSON

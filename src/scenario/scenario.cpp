@@ -1,10 +1,12 @@
 #include "scenario/scenario.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/policy_registry.hpp"
 
@@ -22,6 +24,26 @@ namespace {
 
 bool known_policy(const std::string& policy) {
   return PolicyRegistry::instance().known(policy);
+}
+
+// `dep A B` spelled with single spaces and plain decimal indices — the
+// bulk of a large DAG scenario — read without a stream. Any other
+// spelling (signs, tabs, comments, overflow, a missing or third token)
+// returns false and goes through the general tokenizer, so every
+// diagnostic stays the tokenizer's.
+bool parse_plain_dep(std::string_view line, DagEdge& edge) {
+  if (!line.starts_with("dep ")) return false;
+  const char* p = line.data() + 4;
+  const char* const end = line.data() + line.size();
+  const auto read_index = [&](std::size_t& out) {
+    if (p == end || *p < '0' || *p > '9') return false;
+    const auto [next, error] = std::from_chars(p, end, out);
+    p = next;
+    return error == std::errc();
+  };
+  if (!read_index(edge.from) || p == end || *p != ' ') return false;
+  ++p;
+  return read_index(edge.to) && p == end;
 }
 
 }  // namespace
@@ -68,6 +90,14 @@ bool Scenario::needs_predictor() const {
 }
 
 void Scenario::validate() const {
+  validate_settings();
+  if (const auto issue = dag.validate(arrivals.count)) {
+    invalid("dep edge " + std::to_string(issue->edge_index) + ": " +
+            issue->what);
+  }
+}
+
+void Scenario::validate_settings() const {
   if (name.empty()) invalid("name must not be empty");
   if (!known_policy(policy)) invalid("unknown policy '" + policy + "'");
   if (cores < 1) invalid("cores must be >= 1");
@@ -113,10 +143,6 @@ void Scenario::validate() const {
               "-core system");
     }
   }
-  if (const auto issue = dag.validate(arrivals.count)) {
-    invalid("dep edge " + std::to_string(issue->edge_index) + ": " +
-            issue->what);
-  }
 }
 
 Scenario Scenario::parse(std::istream& in) {
@@ -129,6 +155,11 @@ Scenario Scenario::parse(std::istream& in) {
   std::vector<std::size_t> dep_lines;
   while (std::getline(in, line)) {
     ++line_number;
+    if (DagEdge edge; parse_plain_dep(line, edge)) {
+      scenario.dag.edges.push_back(edge);
+      dep_lines.push_back(line_number);
+      continue;
+    }
     std::istringstream tokens(line);
     std::string directive;
     if (!(tokens >> directive) || directive[0] == '#') continue;
@@ -278,12 +309,12 @@ Scenario Scenario::parse(std::istream& in) {
     }
   }
   // DAG structural errors first, attributed to the offending dep line;
-  // validate() would catch them too, but without line numbers.
+  // then the rest of validate(), without checking the graph again.
   if (const auto issue = scenario.dag.validate(scenario.arrivals.count)) {
     parse_fail(dep_lines[issue->edge_index], issue->what);
   }
   try {
-    scenario.validate();
+    scenario.validate_settings();
   } catch (const std::invalid_argument& e) {
     throw std::runtime_error(std::string("scenario: ") + e.what());
   }

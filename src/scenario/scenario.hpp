@@ -105,6 +105,11 @@ struct Scenario {
   // Round-trips through parse(): save() then parse() reproduces the
   // scenario exactly.
   void save(std::ostream& out) const;
+
+ private:
+  // validate() without the DAG check, which parse() makes itself so that
+  // its errors name the offending dep line.
+  void validate_settings() const;
 };
 
 // The machine `policy` runs on at `cores` cores: base pins every core to

@@ -121,21 +121,22 @@ ScenarioOutcome run_scenario(const Scenario& scenario,
 
 RunCollectors::RunCollectors(const Scenario& scenario,
                              const CharacterizedSuite* suite,
-                             SimTime window_cycles, EventTracer* tracer)
-    : tracer_(tracer), fanout_({}) {
+                             SimTime window_cycles,
+                             ScheduleObserver* session)
+    : session_(session), fanout_({}) {
   if (window_cycles > 0) {
     spans_.emplace(scenario.policy, window_cycles);
     windowed_.emplace(scenario.make_system().core_count(),
                       WindowedOptions{window_cycles, 0}, suite);
     windowed_->set_span_source(&*spans_);
   }
-  fanout_ = FanoutObserver({tracer_, spans_.has_value() ? &*spans_ : nullptr,
+  fanout_ = FanoutObserver({session_, spans_.has_value() ? &*spans_ : nullptr,
                             windowed_.has_value() ? &*windowed_ : nullptr});
 }
 
 ScheduleObserver* RunCollectors::observer() {
   if (windowed_.has_value()) return &fanout_;
-  return tracer_;
+  return session_;
 }
 
 void RunCollectors::finalize() {

@@ -13,7 +13,6 @@
 #include "core/portfolio_policy.hpp"
 #include "core/predictor.hpp"
 #include "core/simulator.hpp"
-#include "obs/event_trace.hpp"
 #include "obs/latency.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
@@ -154,22 +153,23 @@ ScenarioOutcome run_scenario(const Scenario& scenario,
                              ScheduleObserver* extra = nullptr);
 
 // The telemetry collectors of one run, wired in the one order that
-// works: tracer, then the job span collector, then the windowed
-// collector, which pulls each closed window's latency digest from the
-// span collector when it closes the window itself. The simulator holds
-// the bundle's address, so it neither copies nor moves.
+// works: the session observer (an EventTracer or SimCounters), then the
+// job span collector, then the windowed collector, which pulls each
+// closed window's latency digest from the span collector when it closes
+// the window itself. The simulator holds the bundle's address, so it
+// neither copies nor moves.
 class RunCollectors {
  public:
   // `window_cycles` == 0 attaches no span or windowed collector.
   // `suite` (optional) fills the energy and prediction columns; it and
-  // `tracer` (optional) must outlive the bundle.
+  // `session` (optional) must outlive the bundle.
   RunCollectors(const Scenario& scenario, const CharacterizedSuite* suite,
-                SimTime window_cycles, EventTracer* tracer = nullptr);
+                SimTime window_cycles, ScheduleObserver* session = nullptr);
   RunCollectors(const RunCollectors&) = delete;
   RunCollectors& operator=(const RunCollectors&) = delete;
 
   // What to hand run_scenario or ScenarioRun: null when nothing is
-  // attached, the tracer itself when there are no windows.
+  // attached, the session observer itself when there are no windows.
   ScheduleObserver* observer();
   // Closes the last windows, span collector first. Idempotent.
   void finalize();
@@ -191,7 +191,7 @@ class RunCollectors {
   void restore_state(std::istream& in, const std::string& context);
 
  private:
-  EventTracer* tracer_;
+  ScheduleObserver* session_;
   std::optional<JobSpanCollector> spans_;
   std::optional<WindowedCollector> windowed_;
   FanoutObserver fanout_;

@@ -13,6 +13,15 @@
 #   compare
 #       `compare --arrivals 300 --scale 0.25` stdout equals the fixture
 #       tests/cli/compare.stdout
+#   metrics_dag
+#       `scenario --metrics-out` on the DAG smoke scenario equals the
+#       fixture tests/cli/dag_smoke.metrics.json
+#   compare_observed
+#       `compare --arrivals 300 --scale 0.25 --trace-out --metrics-out`
+#       writes the same trace and metrics at --threads 1 and 4: the
+#       metrics equal tests/cli/compare.metrics.json (as do those of a
+#       --metrics-out run without a trace at --threads 4), the trace
+#       hashes to kCompareTraceSha256
 cmake_minimum_required(VERSION 3.20)
 
 set(scenarios "${SOURCE_DIR}/examples/scenarios")
@@ -76,6 +85,31 @@ elseif(CASE STREQUAL "compare")
   run_cli(compare --arrivals 300 --scale 0.25)
   expect_same("${WORK_DIR}/stdout.txt"
               "${SOURCE_DIR}/tests/cli/compare.stdout")
+elseif(CASE STREQUAL "metrics_dag")
+  run_cli(scenario --file "${scenarios}/dag_smoke.scn"
+          --metrics-out "${WORK_DIR}/metrics.json")
+  expect_same("${WORK_DIR}/metrics.json"
+              "${SOURCE_DIR}/tests/cli/dag_smoke.metrics.json")
+elseif(CASE STREQUAL "compare_observed")
+  # SHA-256 of the trace (about 0.5 MB, so not checked in).
+  set(kCompareTraceSha256
+      48928af4a700e28729ee0ba03535b8d34b5f676851b25e2e015204247729a206)
+  foreach(threads 1 4)
+    set(out "${WORK_DIR}/t${threads}")
+    run_cli(compare --arrivals 300 --scale 0.25 --threads ${threads}
+            --trace-out "${out}.trace.json" --metrics-out "${out}.metrics.json")
+    file(SHA256 "${out}.trace.json" digest)
+    if(NOT digest STREQUAL "${kCompareTraceSha256}")
+      message(FATAL_ERROR "${out}.trace.json hashes to ${digest}")
+    endif()
+    expect_same("${out}.metrics.json"
+                "${SOURCE_DIR}/tests/cli/compare.metrics.json")
+  endforeach()
+  # Counters only, fanned out over the pool with the four systems.
+  run_cli(compare --arrivals 300 --scale 0.25 --threads 4
+          --metrics-out "${WORK_DIR}/counters.json")
+  expect_same("${WORK_DIR}/counters.json"
+              "${SOURCE_DIR}/tests/cli/compare.metrics.json")
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()

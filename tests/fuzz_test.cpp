@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -376,6 +377,53 @@ TEST(FuzzDag, ValidateAndRanksMatchNaiveReference) {
           << where;
     } else {
       ASSERT_LT(issue->edge_index, spec.edges.size()) << where;
+    }
+  }
+}
+
+// Every spelling of a `dep` line keeps the verdict and the exact
+// diagnostic of the general .scn tokenizer, whichever path reads it:
+// signs, tabs, overflow, a missing or third token, leading blanks and a
+// trailing comment, plus the DAG errors parse() attributes to the line.
+TEST(FuzzScenario, DepSpellingsKeepTheirDiagnostics) {
+  struct Case {
+    std::string line;
+    std::string error;  // empty: parses, with the edge 1 -> 2
+  };
+  const std::string expects =
+      "'dep' expects two job indices (predecessor successor)";
+  const std::string out_of_range =
+      "scenario line 5: dep job id out of range (jobs 0..3)";
+  const std::vector<Case> cases = {
+      {"dep 1", "scenario line 5: " + expects},
+      {"dep 1 2 3", "scenario line 5: trailing garbage '3'"},
+      {"dep -1 2", out_of_range},  // the stream wraps -1 to SIZE_MAX
+      {"dep +1 2", ""},
+      {"dep 1\t2", ""},
+      {"dep 99999999999999999999 1", "scenario line 5: " + expects},
+      {" dep 1 2", ""},
+      {"dep 1 2 # c", ""},
+      {"dep 1 2", ""},
+      {"dep 0 9", out_of_range},
+      {"dep 0 3", "scenario line 5: duplicate dep 0 -> 3"},
+      {"dep 3 0", "scenario line 4: dep edges form a cycle through job 0"},
+  };
+  for (const Case& c : cases) {
+    std::istringstream in(
+        "name dep-spellings\npolicy base\njobs 4\ndep 0 3\n" + c.line +
+        "\n");
+    std::string error;
+    Scenario scenario;
+    try {
+      scenario = Scenario::parse(in);
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+    }
+    EXPECT_EQ(error, c.error) << "line '" << c.line << "'";
+    if (error.empty()) {
+      ASSERT_EQ(scenario.dag.edges.size(), 2u) << c.line;
+      EXPECT_EQ(scenario.dag.edges[1].from, 1u) << c.line;
+      EXPECT_EQ(scenario.dag.edges[1].to, 2u) << c.line;
     }
   }
 }

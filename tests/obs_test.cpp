@@ -11,6 +11,8 @@
 
 #include "experiment/experiment.hpp"
 #include "obs/observability.hpp"
+#include "obs/sim_counters.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/profile_cache.hpp"
 
@@ -118,6 +120,47 @@ TEST(EventTracerTest, ObserverDoesNotPerturbSimulation) {
   EXPECT_EQ(bare.result.completed_jobs, traced.result.completed_jobs);
   EXPECT_EQ(bare.result.total_energy().value(),
             traced.result.total_energy().value());
+}
+
+// SimCounters is the counting half of EventTracer: on the same run both
+// leave byte-identical registries. The run injects reconfiguration
+// failures and stuck jobs and preempts under EDF, so every counter the
+// two share is exercised, not just the happy-path ones.
+TEST(SimCountersTest, RegistryMatchesTracerCountersByteForByte) {
+  Scenario scenario;
+  scenario.name = "counters";
+  scenario.policy = "realtime";
+  scenario.discipline = QueueDiscipline::kEdf;
+  scenario.realtime = RealtimeOptions{};
+  scenario.realtime->slack_factor = 1.5;
+  scenario.arrivals.count = 400;
+  scenario.arrivals.mean_interarrival_cycles = 8000.0;
+  scenario.suite.kernel_scale = 0.25;
+  scenario.suite.variants_per_kernel = 1;
+  scenario.predictor_ensemble = 1;
+  scenario.predictor_max_epochs = 20;
+  scenario.faults.reconfig_failure_rate = 0.2;
+  scenario.faults.stuck_job_rate = 0.05;
+  const ScenarioContext context(scenario);
+
+  MetricsRegistry counted;
+  SimCounters counters(counted);
+  const ScenarioOutcome plain = run_scenario(scenario, context, &counters);
+  MetricsRegistry traced;
+  EventTracer tracer(&traced);
+  const ScenarioOutcome with_trace =
+      run_scenario(scenario, context, &tracer);
+
+  EXPECT_EQ(plain.stream.digest(), with_trace.stream.digest());
+  EXPECT_EQ(counted.to_json(), traced.to_json());
+  EXPECT_EQ(tracer.dropped_events(), 0u);
+  EXPECT_GT(counted.counter("sim.preemptions").value(), 0u);
+  EXPECT_GT(counted.counter("sim.reconfig_failures").value(), 0u);
+  EXPECT_GT(counted.counter("sim.watchdog_fires").value(), 0u);
+  EXPECT_EQ(counted.counter("sim.preemptions").value(),
+            plain.result.preemptions);
+  EXPECT_EQ(counted.counter("sim.watchdog_fires").value(),
+            plain.result.faults.watchdog_fires);
 }
 
 // The headline contract: one full observed run — profile-cache path,

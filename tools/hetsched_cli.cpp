@@ -57,8 +57,9 @@
 //   --trace-out FILE     write a Chrome-trace/Perfetto JSON of the run(s)
 //                        (ts = simulated cycles, deterministic)
 //   --metrics-out FILE   write the session metrics registry as JSON (pool,
-//                        profile cache, sim.* tracer counters, results)
-//   --max-trace-events N retain at most N trace events per tracer
+//                        profile cache, sim.* counters, results); attaches
+//                        counters only, no trace is retained
+//   --max-trace-events N retain at most N --trace-out events per tracer
 //                        (0 = unlimited; default 1M, drops counted)
 //   --windows-out FILE   write per-window telemetry as JSONL (run,
 //                        scenario and sweep; deterministic)
@@ -189,28 +190,49 @@ struct CliOptions {
 };
 
 // Observability state for one CLI invocation: the shared metrics
-// registry, the runtime tracer fed by the global probe (thread-pool
-// jobs, profile-cache outcomes), and one tracer per simulated system.
-// Everything is written out once, after the command finishes.
+// registry fed by the global probe (thread-pool jobs, profile-cache
+// outcomes) and one `<system>.sim.` observer per simulated system. A
+// --metrics-out session attaches SimCounters, which retain nothing;
+// only --trace-out creates EventTracers (one per system plus the
+// runtime tracks), capped at --max-trace-events each. Everything is
+// written out once, after the command finishes.
 struct ObsSession {
+  explicit ObsSession(const CliOptions& options)
+      : trace_path(options.trace_out_path),
+        metrics_path(options.metrics_out_path),
+        max_trace_events(options.max_trace_events),
+        job_spans(options.trace_spans) {
+    if (!trace_path.empty()) {
+      runtime.emplace();
+      runtime->set_max_events(max_trace_events);
+      processes.emplace_back("runtime", &*runtime);
+    }
+    recorder.emplace(metrics, runtime.has_value() ? &*runtime : nullptr);
+  }
+
   std::string trace_path;
   std::string metrics_path;
-  std::size_t max_trace_events = EventTracer::kDefaultMaxEvents;
+  std::size_t max_trace_events;
+  bool job_spans;  // forward Perfetto async job spans
   MetricsRegistry metrics;
-  EventTracer runtime;           // probe events only; no sim.* counters
-  ProbeRecorder recorder{metrics, &runtime};
-  std::deque<EventTracer> sim_tracers;  // stable addresses
-  std::vector<std::pair<std::string, const EventTracer*>> processes{
-      {"runtime", &runtime}};
+  std::optional<EventTracer> runtime;  // probe events; no sim.* counters
+  std::optional<ProbeRecorder> recorder;
+  std::deque<EventTracer> sim_tracers;   // stable addresses
+  std::deque<SimCounters> sim_counters;  // stable addresses
+  std::vector<std::pair<std::string, const EventTracer*>> processes;
 
-  bool job_spans = false;  // forward Perfetto async job spans
-
-  EventTracer& add_system_tracer(const std::string& system) {
-    sim_tracers.emplace_back(&metrics, system + ".sim.");
-    sim_tracers.back().set_max_events(max_trace_events);
-    sim_tracers.back().set_job_spans(job_spans);
-    processes.emplace_back(system, &sim_tracers.back());
-    return sim_tracers.back();
+  // The observer of one system's run: its `<system>.sim.` counters,
+  // inside a tracer when the session writes a trace.
+  ScheduleObserver& add_system(const std::string& system) {
+    if (trace_path.empty()) {
+      return sim_counters.emplace_back(metrics, system + ".sim.");
+    }
+    EventTracer& tracer =
+        sim_tracers.emplace_back(&metrics, system + ".sim.");
+    tracer.set_max_events(max_trace_events);
+    tracer.set_job_spans(job_spans);
+    processes.emplace_back(system, &tracer);
+    return tracer;
   }
 
   // Returns false (with a message on stderr) when an output file cannot
@@ -277,8 +299,9 @@ struct ObsSession {
       "  --trace-out F   write a Chrome-trace/Perfetto JSON (ts in\n"
       "                  simulated cycles; open in ui.perfetto.dev)\n"
       "  --metrics-out F write the metrics-registry snapshot as JSON\n"
+      "                  (counters only; retains no trace)\n"
       "  --max-trace-events N\n"
-      "                  retain at most N trace events per tracer\n"
+      "                  retain at most N --trace-out events per tracer\n"
       "                  (0 = unlimited; default 1000000)\n"
       "  --windows-out F write per-window telemetry JSONL (run/scenario/\n"
       "                  sweep; one line per closed tumbling window)\n"
@@ -826,14 +849,14 @@ int cmd_run_or_compare(const CliOptions& options, ObsSession* obs) {
                     std::move(loaded));
   }
 
-  // Tracers (and their registry entries) are created serially before the
-  // fan-out; each then only sees its own run's events, so the merged
-  // output is thread-count independent.
+  // Per-system observers (and their registry entries) are created
+  // serially before the fan-out; each then only sees its own run's
+  // events, so the merged output is thread-count independent.
   std::deque<RunCollectors> collectors;
   for (const Scenario& scenario : scenarios) {
     collectors.emplace_back(
         scenario, &context->suite(), options.collector_window(),
-        obs != nullptr ? &obs->add_system_tracer(scenario.name) : nullptr);
+        obs != nullptr ? &obs->add_system(scenario.name) : nullptr);
   }
   std::vector<std::optional<ScenarioOutcome>> outcomes(scenarios.size());
   {
@@ -893,7 +916,7 @@ int cmd_scenario(const CliOptions& options, ObsSession* obs) {
   if (!options.wants_checkpointing()) {
     RunCollectors collectors(
         *scenario, &context->suite(), options.collector_window(),
-        obs != nullptr ? &obs->add_system_tracer(scenario->name) : nullptr);
+        obs != nullptr ? &obs->add_system(scenario->name) : nullptr);
     std::optional<ScenarioOutcome> outcome;
     {
       const auto scope = timers.scope("run");
@@ -1021,16 +1044,16 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
     cells = std::move(sweep->cells);
     failed = std::move(sweep->failed);
   } else {
-    // Per-cell tracers, created serially before the fan-out (stable
+    // Per-cell observers, created serially before the fan-out (stable
     // registration order), each touched only by the shard running its
     // cell.
-    std::vector<EventTracer*> tracers;
+    std::vector<ScheduleObserver*> observers;
     for (std::size_t i = 0; obs != nullptr && i < grid.cell_count(); ++i) {
-      tracers.push_back(&obs->add_system_tracer(grid.cell_label(i)));
+      observers.push_back(&obs->add_system(grid.cell_label(i)));
     }
     const auto scope = timers.scope("run");
     cells = run_sweep(grid, *context, shards, ThreadPool::global(),
-                      options.collector_window(), tracers);
+                      options.collector_window(), observers);
   }
 
   std::vector<std::string> columns{"cell"};
@@ -1184,13 +1207,8 @@ int main(int argc, char** argv) {
   std::optional<ObsSession> obs;
   std::optional<ScopedProbe> probe;
   if (!options.trace_out_path.empty() || !options.metrics_out_path.empty()) {
-    obs.emplace();
-    obs->trace_path = options.trace_out_path;
-    obs->metrics_path = options.metrics_out_path;
-    obs->max_trace_events = options.max_trace_events;
-    obs->job_spans = options.trace_spans;
-    obs->runtime.set_max_events(options.max_trace_events);
-    probe.emplace(&obs->recorder);
+    obs.emplace(options);
+    probe.emplace(&*obs->recorder);
   }
   ObsSession* obs_ptr = obs.has_value() ? &*obs : nullptr;
   int status = 2;

@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
-# Builds the test suite under AddressSanitizer and UBSan (one build tree
-# per sanitizer) and runs ctest in each. Any sanitizer report fails the
-# run (-fno-sanitize-recover=all aborts on the first finding).
+# Builds the test suite under AddressSanitizer, UBSan or ThreadSanitizer
+# (one build tree per sanitizer) and runs ctest in each. Any sanitizer
+# report fails the run: -fno-sanitize-recover=all aborts ASan/UBSan on
+# the first finding, and a TSan report makes the test exit non-zero.
 #
-# Usage: tools/run_sanitized_tests.sh [address|undefined]...
-#        (no arguments = both)
+# Usage: tools/run_sanitized_tests.sh [address|undefined|thread]...
+#        (no arguments = address and undefined)
 set -eu
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
