@@ -23,7 +23,6 @@
 // simulation state, so the SimulationResult is identical — and measure
 // the dispatch+simulation engine proper.
 #include <chrono>
-#include <limits>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -90,12 +89,12 @@ std::vector<Row> run_rows(hetsched::Scenario scenario,
     std::uint64_t completed = 0;
     DispatchTelemetry d;
     if (raw) {
-      ScenarioRun run(scenario, context, nullptr,
-                      ScenarioRun::ObserverMode::kRaw);
-      run.start();
-      run.advance_until(std::numeric_limits<SimTime>::max());
-      completed = run.finish().completed_jobs;
-      d = run.simulator().dispatch_telemetry();
+      const ScenarioOutcome outcome =
+          ScenarioRun(scenario, context, nullptr,
+                      ScenarioRun::ObserverMode::kRaw)
+              .execute();
+      completed = outcome.result.completed_jobs;
+      d = outcome.dispatch;
     } else {
       const ScenarioOutcome outcome = run_scenario(scenario, context);
       HETSCHED_ASSERT(outcome.stream.invariant_violations() == 0);

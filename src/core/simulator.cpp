@@ -455,9 +455,7 @@ void MulticoreSimulator::finish_execution(std::size_t core_index,
                                        core.running_kind, true});
   }
 
-  core.busy = false;
-  index_.mark_idle(core_index);
-  core.idle_since = now;
+  release_core(core_index, now);
   result_.makespan = std::max(result_.makespan, now);
 
   if (was_profiling) {
@@ -476,11 +474,7 @@ void MulticoreSimulator::preempt_execution(std::size_t core_index,
   if (hung_[core_index]) {
     // Preempting a wedged execution: no progress to settle; the stuck
     // window burned idle power. The victim re-queues unprogressed.
-    if (now > started_at_[core_index]) {
-      result_.idle_energy +=
-          energy_.idle_per_cycle(core.current_config) *
-          static_cast<double>(now - started_at_[core_index]);
-    }
+    charge_hung_window(core_index, now);
     ready_.push_front(running_jobs_[core_index]);
     ++result_.preemptions;
     if (observer_ != nullptr) {
@@ -488,9 +482,7 @@ void MulticoreSimulator::preempt_execution(std::size_t core_index,
           now, core_index, running_jobs_[core_index].job_id, true});
     }
     hung_[core_index] = 0;
-    core.busy = false;
-    index_.mark_idle(core_index);
-    core.idle_since = now;
+    release_core(core_index, now);
     return;
   }
 
@@ -517,11 +509,25 @@ void MulticoreSimulator::preempt_execution(std::size_t core_index,
                                        false});
   }
 
+  release_core(core_index, now);
+  // The stale completion entry for this execution is skipped via job_id
+  // validation when it surfaces.
+}
+
+void MulticoreSimulator::release_core(std::size_t core_index, SimTime now) {
+  CoreRuntime& core = cores_[core_index];
   core.busy = false;
   index_.mark_idle(core_index);
   core.idle_since = now;
-  // The stale completion entry for this execution is skipped via job_id
-  // validation when it surfaces.
+}
+
+void MulticoreSimulator::charge_hung_window(std::size_t core_index,
+                                            SimTime now) {
+  if (now > started_at_[core_index]) {
+    result_.idle_energy +=
+        energy_.idle_per_cycle(cores_[core_index].current_config) *
+        static_cast<double>(now - started_at_[core_index]);
+  }
 }
 
 void MulticoreSimulator::apply_core_event(const CoreFaultEvent& event,
@@ -540,11 +546,7 @@ void MulticoreSimulator::apply_core_event(const CoreFaultEvent& event,
       if (hung_[event.core]) {
         // A wedged execution made no progress; the stuck window burned
         // idle power.
-        if (now > started_at_[event.core]) {
-          result_.idle_energy +=
-              energy_.idle_per_cycle(core.current_config) *
-              static_cast<double>(now - started_at_[event.core]);
-        }
+        charge_hung_window(event.core, now);
         hung_[event.core] = 0;
       } else {
         const double portion = settle_execution(event.core, now);
@@ -595,19 +597,13 @@ void MulticoreSimulator::expire_watchdog(std::size_t core_index,
 
   // The wedged core burned idle power for the whole stuck window; the
   // job made no progress and re-queues at the front for re-dispatch.
-  if (now > started_at_[core_index]) {
-    result_.idle_energy +=
-        energy_.idle_per_cycle(core.current_config) *
-        static_cast<double>(now - started_at_[core_index]);
-  }
+  charge_hung_window(core_index, now);
   ready_.push_front(victim);
   record_fault(FaultRecord::Kind::kWatchdogFire, now, core_index,
                victim.job_id);
 
   hung_[core_index] = 0;
-  core.busy = false;
-  index_.mark_idle(core_index);
-  core.idle_since = now;
+  release_core(core_index, now);
 }
 
 void MulticoreSimulator::apply_discipline() {

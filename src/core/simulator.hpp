@@ -234,6 +234,10 @@ class MulticoreSimulator {
   double settle_execution(std::size_t core, SimTime now);
   void finish_execution(std::size_t core, SimTime now);
   void preempt_execution(std::size_t core, SimTime now);
+  // Returns a busy core to the idle set at `now`.
+  void release_core(std::size_t core, SimTime now);
+  // Charges the idle power a hung execution burned since it started.
+  void charge_hung_window(std::size_t core, SimTime now);
   void try_schedule(SimTime now);
   void apply_discipline();
   void accrue_idle(std::size_t core, SimTime until);

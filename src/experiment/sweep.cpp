@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
-#include <limits>
 #include <mutex>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "obs/latency.hpp"
@@ -77,86 +76,53 @@ void fill_cell_identity(SweepCell& cell, const SweepGrid& grid,
   cell.label = grid.cell_label(index);
 }
 
-// Runs one cell to completion. With a timeout the simulation advances in
-// fixed simulated-time slices and the clock is checked between slices,
-// so a runaway cell is abandoned at a deterministic simulation state
-// boundary without detaching threads.
+// Thrown inside a cell whose wall-clock budget expired; the sweep
+// converts it into a quarantined-cell record.
+class SweepTimeoutError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+// Runs one attempt of cell `index`. With a timeout the run pauses every
+// supervision slice of simulated time to read the clock, so a runaway
+// cell is abandoned at a deterministic simulation state boundary
+// without detaching threads.
 SweepCell run_cell(const SweepGrid& grid, std::size_t index,
-                   const ScenarioContext& context, SimTime window_cycles,
-                   ScheduleObserver* observer, std::uint64_t timeout_ms = 0,
-                   SimTime slice = 1'000'000) {
+                   const ScenarioContext& context,
+                   const SweepOptions& options, ScheduleObserver* observer) {
   const Scenario scenario = grid.cell_scenario(index);
   auto collectors = std::make_shared<RunCollectors>(
-      scenario, &context.suite(), window_cycles, observer);
+      scenario, &context.suite(), options.window_cycles, observer);
   ScenarioRun run(scenario, context, collectors->observer());
-  run.start();
-  if (timeout_ms == 0) {
-    run.advance_until(std::numeric_limits<SimTime>::max());
-  } else {
+  ScenarioRun::BoundaryHook check_deadline;
+  if (options.cell_timeout_ms > 0) {
     const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    if (slice == 0) slice = 1'000'000;
-    for (std::uint64_t k = 1; run.advance_until(k * slice); ++k) {
+                          std::chrono::milliseconds(options.cell_timeout_ms);
+    check_deadline = [&options, deadline](std::uint64_t) {
       if (std::chrono::steady_clock::now() >= deadline) {
         throw SweepTimeoutError("cell exceeded its wall-clock budget of " +
-                                std::to_string(timeout_ms) + " ms");
+                                std::to_string(options.cell_timeout_ms) +
+                                " ms");
       }
-    }
+      return true;
+    };
   }
+  const SimTime slice = options.supervision_slice_cycles == 0
+                            ? 1'000'000
+                            : options.supervision_slice_cycles;
+  ScenarioOutcome outcome = run.execute(slice, check_deadline);
 
   SweepCell cell;
   fill_cell_identity(cell, grid, index);
-  cell.result = run.finish();
-  cell.stream_digest = run.stats().digest();
-  cell.invariant_violations = run.stats().invariant_violations();
+  cell.result = std::move(outcome.result);
+  cell.stream_digest = outcome.stream.digest();
+  cell.invariant_violations = outcome.stream.invariant_violations();
   collectors->finalize();
-  if (window_cycles > 0) cell.telemetry = std::move(collectors);
+  if (options.window_cycles > 0) cell.telemetry = std::move(collectors);
   return cell;
 }
 
-std::string load_manifest_text(const SweepSupervisorOptions& options) {
-  if (!options.resume_manifest_text.empty()) {
-    return options.resume_manifest_text;
-  }
-  std::ifstream in(options.resume_manifest, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot read sweep manifest: " +
-                             options.resume_manifest);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 }  // namespace
-
-std::vector<SweepCell> run_sweep(
-    const SweepGrid& grid, const ScenarioContext& context,
-    std::size_t shards, ThreadPool& pool, SimTime window_cycles,
-    std::span<ScheduleObserver* const> cell_observers) {
-  grid.validate();
-  HETSCHED_REQUIRE(shards >= 1 && "shards must be >= 1");
-  const std::size_t cells = grid.cell_count();
-  HETSCHED_REQUIRE(
-      (cell_observers.empty() || cell_observers.size() == cells) &&
-      "cell_observers must be empty or one per cell");
-  shards = std::min(shards, cells);
-
-  std::vector<SweepCell> results(cells);
-  // Shard s owns the contiguous index range [s*cells/shards,
-  // (s+1)*cells/shards); each cell writes only its own slot, so the
-  // ThreadPool determinism contract makes the merge order-independent.
-  pool.parallel_for(shards, [&](std::size_t shard) {
-    const std::size_t begin = shard * cells / shards;
-    const std::size_t end = (shard + 1) * cells / shards;
-    for (std::size_t i = begin; i < end; ++i) {
-      results[i] = run_cell(grid, i, context, window_cycles,
-                            cell_observers.empty() ? nullptr
-                                                   : cell_observers[i]);
-    }
-  });
-  return results;
-}
 
 RunArtifacts build_sweep_report(const SweepGrid& grid,
                                 const ScenarioContext& context,
@@ -329,31 +295,35 @@ std::vector<SweepCell> parse_sweep_manifest(const std::string& text,
   return cells;
 }
 
-SupervisedSweepResult run_sweep_supervised(
-    const SweepGrid& grid, const ScenarioContext& context,
-    std::size_t shards, ThreadPool& pool,
-    const SweepSupervisorOptions& options) {
+SweepResult run_sweep(const SweepGrid& grid, const ScenarioContext& context,
+                      std::size_t shards, ThreadPool& pool,
+                      const SweepOptions& options,
+                      std::span<ScheduleObserver* const> cell_observers) {
   grid.validate();
   HETSCHED_REQUIRE(shards >= 1 && "shards must be >= 1");
   HETSCHED_REQUIRE(options.max_attempts >= 1);
   const std::size_t cells = grid.cell_count();
+  HETSCHED_REQUIRE(
+      (cell_observers.empty() || cell_observers.size() == cells) &&
+      "cell_observers must be empty or one per cell");
   shards = std::min(shards, cells);
 
-  SupervisedSweepResult sweep;
+  SweepResult sweep;
   sweep.cells.resize(cells);
   for (std::size_t i = 0; i < cells; ++i) {
     fill_cell_identity(sweep.cells[i], grid, i);
     sweep.cells[i].completed = false;
   }
 
-  if (!options.resume_manifest.empty() ||
-      !options.resume_manifest_text.empty()) {
-    const std::string context_name = options.resume_manifest.empty()
-                                         ? std::string("sweep manifest")
-                                         : options.resume_manifest;
+  if (!options.resume_manifest.empty()) {
+    const std::optional<std::string> text =
+        read_file(options.resume_manifest);
+    if (!text.has_value()) {
+      throw std::runtime_error("cannot read sweep manifest: " +
+                               options.resume_manifest);
+    }
     for (SweepCell& done :
-         parse_sweep_manifest(load_manifest_text(options), grid,
-                              context_name)) {
+         parse_sweep_manifest(*text, grid, options.resume_manifest)) {
       const std::size_t index = done.index;
       done.completed = true;
       sweep.cells[index] = std::move(done);
@@ -361,8 +331,10 @@ SupervisedSweepResult run_sweep_supervised(
     }
   }
 
-  // Serializes manifest rewrites and the failure list; cell payloads are
-  // lock-free (each cell owns its index-ordered slot).
+  // Guards the cell slots, manifest rewrites and the failure list: a
+  // finished cell is stored under it because a manifest rewrite reads
+  // every slot. Each cell still lands in its own index-ordered slot, so
+  // the ThreadPool determinism contract makes the merge order-independent.
   std::mutex bookkeeping;
   const auto persist_manifest = [&] {
     if (options.manifest_out.empty()) return;
@@ -382,16 +354,14 @@ SupervisedSweepResult run_sweep_supervised(
       SweepFailure failure;
       failure.index = i;
       failure.label = sweep.cells[i].label;
+      SweepCell cell;
       bool done = false;
       for (std::uint32_t attempt = 1; attempt <= options.max_attempts;
            ++attempt) {
         failure.attempts = attempt;
         try {
-          SweepCell cell = run_cell(grid, i, context, options.window_cycles,
-                                    nullptr, options.cell_timeout_ms,
-                                    options.supervision_slice_cycles);
-          cell.completed = true;
-          sweep.cells[i] = std::move(cell);
+          cell = run_cell(grid, i, context, options,
+                          cell_observers.empty() ? nullptr : cell_observers[i]);
           done = true;
           break;
         } catch (const SweepTimeoutError& e) {
@@ -410,6 +380,7 @@ SupervisedSweepResult run_sweep_supervised(
 
       const std::lock_guard<std::mutex> lock(bookkeeping);
       if (done) {
+        sweep.cells[i] = std::move(cell);
         persist_manifest();
       } else {
         sweep.failed.push_back(std::move(failure));

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,8 +57,8 @@ struct SweepCell {
   std::uint64_t stream_digest = 0;  // StreamStats event-stream digest
   std::uint64_t invariant_violations = 0;
 
-  // False for a cell that failed or timed out under supervision (only
-  // the identity fields above are then valid).
+  // False for a cell that failed or timed out (only the identity fields
+  // above are then valid).
   bool completed = true;
   // The cell's finalized span and windowed collectors when the sweep ran
   // with windows, null otherwise. The shard manifest carries their
@@ -68,36 +67,17 @@ struct SweepCell {
   std::shared_ptr<const RunCollectors> telemetry;
 };
 
-// Runs every cell of `grid`, splitting the cell list into `shards`
-// contiguous chunks executed via pool.parallel_for. Returns the cells in
-// grid order. `context` must come from grid.context_scenario() (or any
-// scenario with identical suite/predictor parameters). With
-// `window_cycles` > 0 every cell keeps its own RunCollectors.
-// `cell_observers` is either empty or one observer per cell (nulls
-// allowed), e.g. an EventTracer or SimCounters: observer i sees cell i
-// only, touched only by the shard running that cell, so one observer
-// must not be aliased across cells.
-std::vector<SweepCell> run_sweep(
-    const SweepGrid& grid, const ScenarioContext& context,
-    std::size_t shards, ThreadPool& pool, SimTime window_cycles = 0,
-    std::span<ScheduleObserver* const> cell_observers = {});
-
 // Deposits one result bucket per cell under `prefix` + cell label, plus
 // the per-cell stream digest and invariant-violation counters.
 void record_sweep_metrics(MetricsRegistry& metrics,
                           const std::string& prefix,
                           const std::vector<SweepCell>& cells);
 
-// --- Supervised sweeps: timeout, retry, quarantine, resume --------------
+// --- Supervision: timeout, retry, quarantine, resume --------------------
 
-// Thrown inside a supervised cell whose wall-clock budget expired; the
-// supervisor converts it into a quarantined-cell record.
-class SweepTimeoutError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-struct SweepSupervisorOptions {
+// The defaults run every cell once, without a deadline, collectors or a
+// manifest.
+struct SweepOptions {
   // Wall-clock budget per cell attempt in milliseconds; 0 disables the
   // timeout (cells then only fail by throwing).
   std::uint64_t cell_timeout_ms = 0;
@@ -105,8 +85,8 @@ struct SweepSupervisorOptions {
   std::uint32_t max_attempts = 1;
   // Sleep between attempts of one cell.
   std::uint64_t retry_backoff_ms = 0;
-  // Simulated-time slice between timeout checks: the cell is driven
-  // cooperatively in slices of this many cycles, so the deadline is
+  // Simulated-time stride between deadline checks: a cell with a timeout
+  // pauses every this many cycles to read the clock, so the deadline is
   // honoured without detaching threads (sanitizer-clean).
   SimTime supervision_slice_cycles = 1'000'000;
   // Per-cell window width; 0 runs cells without collectors.
@@ -114,12 +94,10 @@ struct SweepSupervisorOptions {
   // Shard-manifest path, atomically rewritten after every completed
   // cell; empty = no manifest persistence.
   std::string manifest_out;
-  // Resume source: a manifest file path, or the literal manifest text
-  // (tests; takes precedence when non-empty). Cells recorded there are
-  // merged instead of re-run; the merged sweep is byte-identical to a
-  // clean run.
+  // Manifest file to resume from; empty = run every cell. Cells recorded
+  // there are merged instead of re-run; the merged sweep is
+  // byte-identical to a clean run.
   std::string resume_manifest;
-  std::string resume_manifest_text;
 };
 
 // One quarantined cell.
@@ -131,12 +109,35 @@ struct SweepFailure {
   std::string reason;  // what() of the last failure
 };
 
-struct SupervisedSweepResult {
+struct SweepResult {
   // All cells in grid order; failed cells have completed == false.
   std::vector<SweepCell> cells;
   std::vector<SweepFailure> failed;  // sorted by index
   std::uint64_t resumed_cells = 0;   // skipped thanks to the manifest
 };
+
+// Runs every cell of `grid`, splitting the cell list into `shards`
+// contiguous chunks executed via pool.parallel_for; returns the cells in
+// grid order. `context` must come from grid.context_scenario() (or any
+// scenario with identical suite/predictor parameters). With
+// `options.window_cycles` > 0 every cell keeps its own RunCollectors.
+// Each cell attempt is one ScenarioRun::execute, paused for a deadline
+// check when the options set a timeout; a cell that throws or times out
+// is retried up to max_attempts times and then quarantined into
+// `failed` instead of aborting the sweep. Deterministic for the
+// completed set: a cell's payload does not depend on timing, shard
+// count, thread count or which other cells failed.
+// `cell_observers` is either empty or one observer per cell (nulls
+// allowed), e.g. an EventTracer or SimCounters: observer i sees every
+// attempt of cell i and nothing of a cell resumed from the manifest. It
+// is touched only by the shard running that cell, so one observer must
+// not be aliased across cells. Throws std::runtime_error on an
+// unreadable, corrupted or mismatched resume manifest and on an
+// unwritable manifest path.
+SweepResult run_sweep(const SweepGrid& grid, const ScenarioContext& context,
+                      std::size_t shards, ThreadPool& pool,
+                      const SweepOptions& options = {},
+                      std::span<ScheduleObserver* const> cell_observers = {});
 
 // The aggregate report of a sweep: totals over the completed cells,
 // window counts and JSONL summed and concatenated in grid order (window
@@ -147,18 +148,6 @@ RunArtifacts build_sweep_report(const SweepGrid& grid,
                                 const ScenarioContext& context,
                                 const std::vector<SweepCell>& cells,
                                 std::span<const SweepFailure> failed = {});
-
-// Supervised variant of run_sweep: each cell runs under a cooperative
-// wall-clock timeout with bounded retry; failures are quarantined into
-// `failed` instead of aborting the sweep. Deterministic for the
-// completed set: a cell's payload does not depend on timing, shard
-// count or which other cells failed. Throws std::runtime_error on an
-// unreadable/corrupted/mismatched resume manifest or an unwritable
-// manifest path.
-SupervisedSweepResult run_sweep_supervised(
-    const SweepGrid& grid, const ScenarioContext& context,
-    std::size_t shards, ThreadPool& pool,
-    const SweepSupervisorOptions& options);
 
 // Shard-manifest round trip (exposed for tests and tooling). The
 // manifest records the grid fingerprint plus every completed cell's full

@@ -1,6 +1,6 @@
 #include "scenario/checkpoint.hpp"
 
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -27,15 +27,21 @@ namespace st = snapshot_text;
 // older snapshots are rejected rather than resumed with reset spans.
 constexpr int kCheckpointVersion = 4;
 
+// The checkpoint stride's parameters, stamped into every snapshot.
+struct Stride {
+  SimTime window_cycles = 0;
+  std::uint64_t every = 0;
+};
+
 std::string make_checkpoint_text(const Scenario& scenario,
-                                 const CheckpointRunOptions& options,
+                                 const Stride& stride,
                                  std::uint64_t boundary, ScenarioRun& run,
                                  const RunCollectors& collectors) {
   std::ostringstream body;
   body << "hetsched-checkpoint " << kCheckpointVersion << "\n";
   body << "scenario-hash " << scenario_fingerprint(scenario) << "\n";
-  body << "window-cycles " << options.window_cycles << ' '
-       << options.checkpoint_every << "\n";
+  body << "window-cycles " << stride.window_cycles << ' ' << stride.every
+       << "\n";
   body << "boundary " << boundary << "\n";
   run.simulator().save_stream_state(body);
   run.arrivals().save_state(body);
@@ -53,10 +59,10 @@ std::string make_checkpoint_text(const Scenario& scenario,
 
 // Parses and verifies `text`, restores every component into `run` and
 // `collectors`, and returns the stride boundary the snapshot was taken
-// at. The ScenarioRun must be freshly constructed (not started).
+// at. The ScenarioRun must be freshly constructed (not executed).
 std::uint64_t restore_checkpoint_text(const std::string& text,
                                       const Scenario& scenario,
-                                      const CheckpointRunOptions& options,
+                                      const Stride& stride,
                                       ScenarioRun& run,
                                       RunCollectors& collectors,
                                       const std::string& context) {
@@ -83,9 +89,9 @@ std::uint64_t restore_checkpoint_text(const std::string& text,
     st::fail(context, "expected 'window-cycles'");
   }
   if (st::read_value<SimTime>(in, "window cycles", context) !=
-          options.window_cycles ||
+          stride.window_cycles ||
       st::read_value<std::uint64_t>(in, "checkpoint stride", context) !=
-          options.checkpoint_every) {
+          stride.every) {
     st::fail(context,
              "checkpoint window/stride parameters do not match this run");
   }
@@ -125,18 +131,6 @@ std::uint64_t restore_checkpoint_text(const std::string& text,
   return boundary;
 }
 
-std::string load_resume_text(const CheckpointRunOptions& options) {
-  if (!options.resume_text.empty()) return options.resume_text;
-  std::ifstream in(options.resume_from, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot read checkpoint file: " +
-                             options.resume_from);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 }  // namespace
 
 std::uint64_t scenario_fingerprint(const Scenario& scenario) {
@@ -147,43 +141,42 @@ std::uint64_t scenario_fingerprint(const Scenario& scenario) {
 
 CheckpointRunOutcome run_scenario_checkpointed(
     const Scenario& scenario, const ScenarioContext& context,
-    const CheckpointRunOptions& options) {
-  const std::string interval_error =
-      window_interval_error(options.window_cycles, options.checkpoint_every);
-  if (!interval_error.empty()) {
-    throw std::invalid_argument("checkpoint intervals: " + interval_error);
-  }
-
-  auto collectors = std::make_unique<RunCollectors>(
-      scenario, &context.suite(), options.window_cycles);
-  ScenarioRun run(scenario, context, collectors->observer());
-
-  std::uint64_t boundary = 0;
+    const CheckpointRunOptions& options, RunCollectors& collectors) {
+  const bool writes = !options.checkpoint_out.empty() ||
+                      options.capture_checkpoints != nullptr ||
+                      options.halt_after_checkpoints > 0;
+  const bool resumes = !options.resume_from.empty();
+  Stride stride;
   std::uint64_t resumed_from = 0;
-  const bool resuming =
-      !options.resume_text.empty() || !options.resume_from.empty();
-  if (resuming) {
-    const std::string context_name = options.resume_from.empty()
-                                         ? std::string("checkpoint")
-                                         : options.resume_from;
-    boundary = restore_checkpoint_text(load_resume_text(options), scenario,
-                                       options, run, *collectors,
-                                       context_name);
-    resumed_from = boundary;
-  } else {
-    run.start();
+  if (writes || resumes) {
+    if (collectors.windows() == nullptr) {
+      throw std::invalid_argument(
+          "checkpointed runs need collectors with a telemetry window");
+    }
+    stride = {collectors.windows()->window_cycles(), options.checkpoint_every};
+    const std::string interval_error =
+        window_interval_error(stride.window_cycles, stride.every);
+    if (!interval_error.empty()) {
+      throw std::invalid_argument("checkpoint intervals: " + interval_error);
+    }
+  }
+  ScenarioRun run(scenario, context, collectors.observer());
+  if (resumes) {
+    const std::optional<std::string> text = read_file(options.resume_from);
+    if (!text.has_value()) {
+      throw std::runtime_error("cannot read checkpoint file: " +
+                               options.resume_from);
+    }
+    resumed_from = restore_checkpoint_text(*text, scenario, stride, run,
+                                           collectors, options.resume_from);
+    run.resume_at(resumed_from);
   }
 
-  const SimTime stride = options.window_cycles * options.checkpoint_every;
   std::uint64_t written = 0;
   bool halted = false;
-  for (;;) {
-    ++boundary;
-    const bool paused = run.advance_until(boundary * stride);
-    if (!paused) break;  // stream drained before the boundary
-
-    const std::string text = make_checkpoint_text(scenario, options,
-                                                  boundary, run, *collectors);
+  const auto write_checkpoint = [&](std::uint64_t boundary) {
+    const std::string text =
+        make_checkpoint_text(scenario, stride, boundary, run, collectors);
     if (options.capture_checkpoints != nullptr) {
       options.capture_checkpoints->push_back(text);
     }
@@ -193,29 +186,12 @@ CheckpointRunOutcome run_scenario_checkpointed(
                                options.checkpoint_out);
     }
     halted = ++written == options.halt_after_checkpoints;
-    if (halted) break;
-  }
-
-  SimulationResult result;
-  if (!halted) {
-    result = run.finish();
-    collectors->finalize();
-  }
-  CheckpointRunOutcome outcome{
-      {std::move(result), std::move(run.stats()), DispatchTelemetry{},
-       std::nullopt, std::nullopt},
-      std::move(collectors),
-      written,
-      resumed_from,
-      halted};
-  if (const auto* portfolio =
-          dynamic_cast<const PortfolioPolicy*>(&run.policy())) {
-    outcome.portfolio = portfolio->stats();
-  }
-  if (const DagArrivalSource* dag = run.dag()) {
-    outcome.dag = dag->stats();
-  }
-  return outcome;
+    return !halted;
+  };
+  ScenarioOutcome outcome = run.execute(
+      writes ? stride.window_cycles * stride.every : 0, write_checkpoint);
+  if (!halted) collectors.finalize();
+  return {std::move(outcome), written, resumed_from, halted};
 }
 
 }  // namespace hetsched

@@ -1,7 +1,7 @@
 // Crash-safe scenario execution: deterministic checkpoint/resume.
 //
-// A checkpointed run drives a ScenarioRun in fixed strides of simulated
-// time (window_cycles * checkpoint_every) and serializes the complete
+// A checkpointed run pauses a ScenarioRun at fixed strides of simulated
+// time (window width * checkpoint_every) and serializes the complete
 // resumable state at each stride boundary: simulator core/queue/in-flight
 // state, arrival-generator position (RNG states included), StreamStats
 // compaction digest, windowed-telemetry accumulators and the fault
@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,17 +26,14 @@
 namespace hetsched {
 
 struct CheckpointRunOptions {
-  // Telemetry window width; checkpoints land on multiples of it.
-  SimTime window_cycles = 1'000'000;
-  // Windows per checkpoint stride (>= 1).
+  // Windows per checkpoint stride (>= 1): checkpoints land on every
+  // checkpoint_every-th boundary of the collectors' telemetry window.
   std::uint64_t checkpoint_every = 1;
   // Checkpoint file path, rewritten atomically at every boundary; empty
   // = no file output (captures below still work).
   std::string checkpoint_out;
-  // Resume source: a checkpoint file path, or the literal checkpoint
-  // text (tests; takes precedence when non-empty).
+  // Checkpoint file to resume from; empty = start fresh.
   std::string resume_from;
-  std::string resume_text;
   // Stop after writing this many checkpoints this process (simulating a
   // crash); 0 = run to completion.
   std::uint64_t halt_after_checkpoints = 0;
@@ -46,25 +42,28 @@ struct CheckpointRunOptions {
 };
 
 // The run's outcome (result default-initialized when halted; portfolio
-// and DAG stats as of the halt) plus its collectors. `dispatch` stays
-// empty: scan counters are per-process, not resumable state.
+// and DAG stats as of the halt) plus the checkpoint bookkeeping.
 struct CheckpointRunOutcome : ScenarioOutcome {
-  // Windowed and span collectors; finalized only when the run completed.
-  std::unique_ptr<RunCollectors> collectors;
   std::uint64_t checkpoints_written = 0;
   // Stride boundary the run resumed from; 0 = started fresh.
   std::uint64_t resumed_from = 0;
   bool halted = false;
 };
 
-// Runs `scenario` under the checkpointing driver. Without resume/halt
-// options the outcome is bit-identical to run_scenario plus a windowed
-// collector. Throws std::runtime_error on unreadable, corrupted,
-// truncated or mismatched (different scenario or checkpoint parameters)
-// resume input, and on checkpoint files that cannot be written.
+// Runs `scenario` with `collectors` attached, writing a checkpoint at
+// every stride boundary: ScenarioRun::execute with a boundary hook that
+// serializes the run and the collectors' state. With nothing to write,
+// capture or halt it runs straight through, exactly like run_scenario.
+// Checkpointing or resuming needs collectors built with a window (their
+// width sets the stride). The collectors are finalized unless the run
+// halted. Throws std::invalid_argument on collectors without a window
+// or an overflowing stride, and std::runtime_error on unreadable,
+// corrupted, truncated or mismatched (different scenario or checkpoint
+// parameters) resume input and on checkpoint files that cannot be
+// written.
 CheckpointRunOutcome run_scenario_checkpointed(
     const Scenario& scenario, const ScenarioContext& context,
-    const CheckpointRunOptions& options);
+    const CheckpointRunOptions& options, RunCollectors& collectors);
 
 // FNV-1a fingerprint of the scenario's canonical save() text; stamped
 // into checkpoint headers so a snapshot cannot resume a different

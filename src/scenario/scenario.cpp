@@ -22,6 +22,17 @@ namespace {
   throw std::invalid_argument("Scenario: " + what);
 }
 
+// The error for a DAG scenario with more jobs than a DAG source may
+// materialise; empty when the job count is within bounds.
+std::string dag_size_error(const Scenario& scenario) {
+  if (scenario.dag.empty() || scenario.arrivals.count <= kMaxDagJobs) {
+    return {};
+  }
+  return "jobs " + std::to_string(scenario.arrivals.count) +
+         " exceeds the limit of " + std::to_string(kMaxDagJobs) +
+         " jobs for a scenario with dep edges";
+}
+
 bool known_policy(const std::string& policy) {
   return PolicyRegistry::instance().known(policy);
 }
@@ -91,6 +102,9 @@ bool Scenario::needs_predictor() const {
 
 void Scenario::validate() const {
   validate_settings();
+  if (const std::string error = dag_size_error(*this); !error.empty()) {
+    invalid(error);
+  }
   if (const auto issue = dag.validate(arrivals.count)) {
     invalid("dep edge " + std::to_string(issue->edge_index) + ": " +
             issue->what);
@@ -153,6 +167,7 @@ Scenario Scenario::parse(std::istream& in) {
   // (range, self/duplicate edges, cycles) are only checkable once the
   // whole graph is read, but must still name the offending line.
   std::vector<std::size_t> dep_lines;
+  std::size_t jobs_line = 0;
   while (std::getline(in, line)) {
     ++line_number;
     if (DagEdge edge; parse_plain_dep(line, edge)) {
@@ -237,6 +252,7 @@ Scenario Scenario::parse(std::istream& in) {
       std::uint64_t jobs = 0;
       read_u64(jobs, 1);
       scenario.arrivals.count = static_cast<std::size_t>(jobs);
+      jobs_line = line_number;
     } else if (directive == "mean-gap") {
       read_real(scenario.arrivals.mean_interarrival_cycles, 1e-9, 1e15);
     } else if (directive == "distribution") {
@@ -308,8 +324,12 @@ Scenario Scenario::parse(std::istream& in) {
       parse_fail(line_number, "trailing garbage '" + trailing + "'");
     }
   }
-  // DAG structural errors first, attributed to the offending dep line;
-  // then the rest of validate(), without checking the graph again.
+  // A DAG too large to materialise, attributed to the jobs line; then
+  // DAG structural errors, attributed to the offending dep line; then
+  // the rest of validate(), without checking the graph again.
+  if (const std::string error = dag_size_error(scenario); !error.empty()) {
+    parse_fail(jobs_line, error);
+  }
   if (const auto issue = scenario.dag.validate(scenario.arrivals.count)) {
     parse_fail(dep_lines[issue->edge_index], issue->what);
   }

@@ -99,24 +99,42 @@ ScenarioRun::ScenarioRun(const Scenario& scenario,
   }
 }
 
+ScenarioOutcome ScenarioRun::execute(SimTime stride,
+                                     const BoundaryHook& on_boundary) {
+  if (boundary_ == 0) simulator_.start_stream(source());
+  bool halted = false;
+  if (stride == 0 || !on_boundary) {
+    simulator_.advance_stream_until(source(),
+                                    std::numeric_limits<SimTime>::max());
+  } else {
+    while (simulator_.advance_stream_until(source(), ++boundary_ * stride)) {
+      if (!on_boundary(boundary_)) {
+        halted = true;
+        break;
+      }
+    }
+  }
+  ScenarioOutcome outcome{
+      halted ? SimulationResult{} : simulator_.finish_stream(),
+      std::move(stats_), simulator_.dispatch_telemetry(), std::nullopt,
+      std::nullopt};
+  if (const auto* portfolio =
+          dynamic_cast<const PortfolioPolicy*>(policy_.get())) {
+    outcome.portfolio = portfolio->stats();
+  }
+  if (dag_.has_value()) outcome.dag = dag_->stats();
+  return outcome;
+}
+
+void ScenarioRun::resume_at(std::uint64_t boundary) {
+  HETSCHED_REQUIRE(boundary > 0 && boundary_ == 0);
+  boundary_ = boundary;
+}
+
 ScenarioOutcome run_scenario(const Scenario& scenario,
                              const ScenarioContext& context,
                              ScheduleObserver* extra) {
-  ScenarioRun run(scenario, context, extra);
-  run.start();
-  run.advance_until(std::numeric_limits<SimTime>::max());
-  SimulationResult result = run.finish();
-  ScenarioOutcome outcome{std::move(result), std::move(run.stats()),
-                          run.simulator().dispatch_telemetry(), std::nullopt,
-                          std::nullopt};
-  if (const auto* portfolio =
-          dynamic_cast<const PortfolioPolicy*>(&run.policy())) {
-    outcome.portfolio = portfolio->stats();
-  }
-  if (const DagArrivalSource* dag = run.dag()) {
-    outcome.dag = dag->stats();
-  }
-  return outcome;
+  return ScenarioRun(scenario, context, extra).execute();
 }
 
 RunCollectors::RunCollectors(const Scenario& scenario,

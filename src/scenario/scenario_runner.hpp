@@ -6,6 +6,8 @@
 // million-job scenario costs no more RAM than a thousand-job one.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -78,21 +80,24 @@ struct ScenarioOutcome {
 std::unique_ptr<SchedulerPolicy> make_scenario_policy(
     const Scenario& scenario, const ScenarioContext& context);
 
-// One scenario execution held open so it can be driven in slices —
-// the substrate for checkpointed runs and supervised (timeout-guarded)
-// sweep cells. Owns the policy, simulator, arrival stream, StreamStats
-// and optional fault injector that run_scenario would wire up
-// internally; running start() / advance_until(max) / finish() is
-// bit-identical to run_scenario. The scenario and context must outlive
-// the run.
+// One scenario execution: owns the policy, simulator, arrival stream,
+// StreamStats and optional fault injector, and holds the only loop that
+// steps a scenario. execute() runs the stream to its end, optionally
+// pausing at fixed simulated-time boundaries for a hook — the substrate
+// of checkpointed runs and deadline-guarded sweep cells. The scenario
+// and context must outlive the run.
 class ScenarioRun {
  public:
   // kObserved folds every event into the internal StreamStats (the
   // digest-bearing default); kRaw attaches no observer at all, which is
   // the simulator's pure dispatch throughput — observers never feed back
   // into simulation state, so the SimulationResult is identical either
-  // way (stats() is simply empty).
+  // way (the outcome's stream is simply empty).
   enum class ObserverMode { kObserved, kRaw };
+
+  // Called each time the run pauses at stride boundary k (simulated
+  // time k * stride) with k; returning false halts the run there.
+  using BoundaryHook = std::function<bool(std::uint64_t boundary)>;
 
   // `extra` (optional) receives every observer callback alongside the
   // internal StreamStats and must outlive the run.
@@ -100,22 +105,28 @@ class ScenarioRun {
               ScheduleObserver* extra = nullptr,
               ObserverMode mode = ObserverMode::kObserved);
 
-  // Stepping interface; see MulticoreSimulator's equivalents. A DAG
-  // scenario is driven from its release-on-completion source; otherwise
-  // the plain generated stream feeds the simulator directly.
-  void start() { simulator_.start_stream(source()); }
-  bool advance_until(SimTime limit) {
-    return simulator_.advance_stream_until(source(), limit);
-  }
-  SimulationResult finish() { return simulator_.finish_stream(); }
+  // Runs the stream to its end and returns the outcome, portfolio and
+  // DAG stats included; call it once. With `stride` > 0 and a hook the
+  // run pauses every `stride` simulated cycles and calls the hook, which
+  // may halt it: a halted run is never finished, so its result stays
+  // default-initialized and its stats are those at the halt. Pausing
+  // never changes the run. `dispatch` counts this process's decisions
+  // only (scan counters are not resumable state). A DAG scenario is
+  // driven from its release-on-completion source; otherwise the plain
+  // generated stream feeds the simulator directly.
+  ScenarioOutcome execute(SimTime stride = 0,
+                          const BoundaryHook& on_boundary = {});
+
+  // Marks the run as restored from a snapshot taken at stride boundary
+  // `boundary` (> 0): execute() continues from there instead of
+  // starting the stream.
+  void resume_at(std::uint64_t boundary);
 
   MulticoreSimulator& simulator() { return simulator_; }
   StreamStats& stats() { return stats_; }
   GeneratedArrivalStream& arrivals() { return stream_; }
-  // The scenario's scheduler (checkpointing serialises its state; the
-  // drivers extract portfolio selector stats through it).
+  // The scenario's scheduler (checkpointing serialises its state).
   SchedulerPolicy& policy() { return *policy_; }
-  const SchedulerPolicy& policy() const { return *policy_; }
   // Null when the scenario has no fault plan.
   FaultInjector* injector() {
     return injector_.has_value() ? &*injector_ : nullptr;
@@ -123,9 +134,6 @@ class ScenarioRun {
   // Null when the scenario declared no job DAG (checkpointing serialises
   // its frontier; tests replay its realized arrival order).
   DagArrivalSource* dag() { return dag_.has_value() ? &*dag_ : nullptr; }
-  const DagArrivalSource* dag() const {
-    return dag_.has_value() ? &*dag_ : nullptr;
-  }
 
  private:
   ArrivalSource& source() {
@@ -140,14 +148,18 @@ class ScenarioRun {
   std::optional<FaultInjector> injector_;
   GeneratedArrivalStream stream_;
   std::optional<DagArrivalSource> dag_;
+  // Stride boundary the run last paused at or was resumed from; 0 =
+  // execute() starts the stream.
+  std::uint64_t boundary_ = 0;
 };
 
-// Runs `scenario` under the streaming driver. Deterministic: the same
-// scenario and context produce bit-identical outcomes at every thread
-// count. The context must have been built for a scenario with the same
-// suite/predictor parameters. `extra` (optional) receives every
-// observer callback alongside the internal StreamStats — e.g. an
-// EventTracer or WindowedCollector — without perturbing the run.
+// Runs `scenario` straight through: ScenarioRun::execute with no
+// boundaries. Deterministic: the same scenario and context produce
+// bit-identical outcomes at every thread count. The context must have
+// been built for a scenario with the same suite/predictor parameters.
+// `extra` (optional) receives every observer callback alongside the
+// internal StreamStats — e.g. an EventTracer or WindowedCollector —
+// without perturbing the run.
 ScenarioOutcome run_scenario(const Scenario& scenario,
                              const ScenarioContext& context,
                              ScheduleObserver* extra = nullptr);

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 namespace hetsched {
 
@@ -23,6 +24,14 @@ bool atomic_write_file(const std::string& path, std::string_view content) {
     return false;
   }
   return true;
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 }  // namespace hetsched

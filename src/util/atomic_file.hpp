@@ -1,4 +1,4 @@
-// Durable whole-file writes.
+// Whole-file I/O: durable writes and the one whole-file reader.
 //
 // Every artifact sink (run reports, windows JSONL, metrics snapshots,
 // Chrome traces, CSVs, checkpoints, sweep manifests) writes through
@@ -10,6 +10,7 @@
 // characterisation profile cache; this is the shared extraction.)
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -19,5 +20,9 @@ namespace hetsched {
 // Returns false (destination untouched, temp file cleaned up) when the
 // temp file cannot be created, written, or renamed.
 bool atomic_write_file(const std::string& path, std::string_view content);
+
+// The whole content of `path`, read in binary mode; nullopt when it
+// cannot be opened.
+std::optional<std::string> read_file(const std::string& path);
 
 }  // namespace hetsched

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -111,18 +112,37 @@ TEST(RngState, RejectsGarbage) {
 
 CheckpointRunOptions base_checkpoint_options() {
   CheckpointRunOptions options;
-  options.window_cycles = 1'000'000;
   options.checkpoint_every = 1;
   return options;
+}
+
+// The collectors a checkpointed run of `scenario` carries: one-million-
+// cycle windows, so a checkpoint stride is one window.
+std::unique_ptr<RunCollectors> checkpoint_collectors(
+    const Scenario& scenario, const ScenarioContext& context,
+    SimTime window_cycles = 1'000'000) {
+  return std::make_unique<RunCollectors>(scenario, &context.suite(),
+                                         window_cycles);
+}
+
+// Writes `text` to a scratch file named `name` and returns its path:
+// resume inputs are files.
+std::string scratch_file(const std::string& name, const std::string& text) {
+  const std::string path = testing::TempDir() + name;
+  EXPECT_TRUE(atomic_write_file(path, text));
+  return path;
 }
 
 // The checkpointing driver itself must not perturb the simulation.
 TEST(CheckpointResume, DriverMatchesPlainScenarioRun) {
   World& w = world();
   const ScenarioOutcome plain = run_scenario(w.base, w.context);
+  std::vector<std::string> checkpoints;
+  CheckpointRunOptions options = base_checkpoint_options();
+  options.capture_checkpoints = &checkpoints;
+  const auto collectors = checkpoint_collectors(w.base, w.context);
   const CheckpointRunOutcome checkpointed =
-      run_scenario_checkpointed(w.base, w.context,
-                                base_checkpoint_options());
+      run_scenario_checkpointed(w.base, w.context, options, *collectors);
   EXPECT_FALSE(checkpointed.halted);
   EXPECT_GT(checkpointed.checkpoints_written, 2u);
   EXPECT_EQ(checkpointed.stream.digest(), plain.stream.digest());
@@ -137,28 +157,31 @@ void expect_kill_resume_identity(const Scenario& scenario,
   CheckpointRunOptions options = base_checkpoint_options();
   std::vector<std::string> checkpoints;
   options.capture_checkpoints = &checkpoints;
-  const CheckpointRunOutcome full =
-      run_scenario_checkpointed(scenario, context, options);
+  const auto full_collectors = checkpoint_collectors(scenario, context);
+  const CheckpointRunOutcome full = run_scenario_checkpointed(
+      scenario, context, options, *full_collectors);
   ASSERT_FALSE(full.halted);
   ASSERT_GE(checkpoints.size(), 3u);
 
   const std::uint64_t ref_digest = full.stream.digest();
   const std::string ref_result = result_text(full.result);
-  const std::string ref_windows = full.collectors->windows_jsonl();
+  const std::string ref_windows = full_collectors->windows_jsonl();
 
   for (std::size_t k = 0; k < checkpoints.size(); ++k) {
     CheckpointRunOptions resume = base_checkpoint_options();
-    resume.resume_text = checkpoints[k];
+    resume.resume_from =
+        scratch_file(scenario.name + ".ckpt", checkpoints[k]);
     std::vector<std::string> tail;
     resume.capture_checkpoints = &tail;
+    const auto collectors = checkpoint_collectors(scenario, context);
     const CheckpointRunOutcome resumed =
-        run_scenario_checkpointed(scenario, context, resume);
+        run_scenario_checkpointed(scenario, context, resume, *collectors);
     ASSERT_FALSE(resumed.halted);
     EXPECT_EQ(resumed.resumed_from, k + 1);
     EXPECT_EQ(resumed.stream.digest(), ref_digest) << "boundary " << k + 1;
     EXPECT_EQ(result_text(resumed.result), ref_result)
         << "boundary " << k + 1;
-    EXPECT_EQ(resumed.collectors->windows_jsonl(), ref_windows)
+    EXPECT_EQ(collectors->windows_jsonl(), ref_windows)
         << "boundary " << k + 1;
     ASSERT_EQ(tail.size(), checkpoints.size() - k - 1);
     for (std::size_t j = 0; j < tail.size(); ++j) {
@@ -220,23 +243,25 @@ TEST(CheckpointResume, HaltAndResumeFromFile) {
   CheckpointRunOptions halt = base_checkpoint_options();
   halt.checkpoint_out = path;
   halt.halt_after_checkpoints = 2;
-  const CheckpointRunOutcome halted =
-      run_scenario_checkpointed(w.base, w.context, halt);
+  const CheckpointRunOutcome halted = run_scenario_checkpointed(
+      w.base, w.context, halt, *checkpoint_collectors(w.base, w.context));
   EXPECT_TRUE(halted.halted);
   EXPECT_EQ(halted.checkpoints_written, 2u);
 
   CheckpointRunOptions resume = base_checkpoint_options();
   resume.resume_from = path;
-  const CheckpointRunOutcome resumed =
-      run_scenario_checkpointed(w.base, w.context, resume);
+  const auto resumed_collectors = checkpoint_collectors(w.base, w.context);
+  const CheckpointRunOutcome resumed = run_scenario_checkpointed(
+      w.base, w.context, resume, *resumed_collectors);
   EXPECT_EQ(resumed.resumed_from, 2u);
 
+  const auto full_collectors = checkpoint_collectors(w.base, w.context);
   const CheckpointRunOutcome full = run_scenario_checkpointed(
-      w.base, w.context, base_checkpoint_options());
+      w.base, w.context, base_checkpoint_options(), *full_collectors);
   EXPECT_EQ(resumed.stream.digest(), full.stream.digest());
   EXPECT_EQ(result_text(resumed.result), result_text(full.result));
-  EXPECT_EQ(resumed.collectors->windows_jsonl(),
-            full.collectors->windows_jsonl());
+  EXPECT_EQ(resumed_collectors->windows_jsonl(),
+            full_collectors->windows_jsonl());
 }
 
 // --- Checkpoint rejection ------------------------------------------------
@@ -249,28 +274,36 @@ class CheckpointRejection : public ::testing::Test {
       options.halt_after_checkpoints = 1;
       std::vector<std::string> captured;
       options.capture_checkpoints = &captured;
-      run_scenario_checkpointed(world().base, world().context, options);
+      run_scenario_checkpointed(
+          world().base, world().context, options,
+          *checkpoint_collectors(world().base, world().context));
       return new std::string(captured.at(0));
     }();
     return *text;
   }
 
-  static void expect_rejected(const CheckpointRunOptions& options) {
-    EXPECT_THROW(
-        run_scenario_checkpointed(world().base, world().context, options),
-        std::runtime_error);
+  static void expect_rejected(const CheckpointRunOptions& options,
+                              SimTime window_cycles = 1'000'000) {
+    EXPECT_THROW(run_scenario_checkpointed(
+                     world().base, world().context, options,
+                     *checkpoint_collectors(world().base, world().context,
+                                            window_cycles)),
+                 std::runtime_error);
   }
 };
 
 TEST_F(CheckpointRejection, Garbage) {
   CheckpointRunOptions options = base_checkpoint_options();
-  options.resume_text = "definitely not a checkpoint\n";
+  options.resume_from =
+      scratch_file("chaos-garbage.ckpt", "definitely not a checkpoint\n");
   expect_rejected(options);
 }
 
 TEST_F(CheckpointRejection, Truncated) {
   CheckpointRunOptions options = base_checkpoint_options();
-  options.resume_text = checkpoint().substr(0, checkpoint().size() / 2);
+  options.resume_from =
+      scratch_file("chaos-truncated.ckpt",
+                   checkpoint().substr(0, checkpoint().size() / 2));
   expect_rejected(options);
 }
 
@@ -279,7 +312,7 @@ TEST_F(CheckpointRejection, CorruptedByte) {
   const std::size_t at = mutated.size() / 2;
   mutated[at] = mutated[at] == '7' ? '8' : '7';
   CheckpointRunOptions options = base_checkpoint_options();
-  options.resume_text = mutated;
+  options.resume_from = scratch_file("chaos-corrupted.ckpt", mutated);
   expect_rejected(options);
 }
 
@@ -287,16 +320,28 @@ TEST_F(CheckpointRejection, DifferentScenario) {
   Scenario other = world().base;
   other.seed = 43;
   CheckpointRunOptions options = base_checkpoint_options();
-  options.resume_text = checkpoint();
-  EXPECT_THROW(run_scenario_checkpointed(other, world().context, options),
-               std::runtime_error);
+  options.resume_from = scratch_file("chaos-other-scenario.ckpt", checkpoint());
+  EXPECT_THROW(
+      run_scenario_checkpointed(other, world().context, options,
+                                *checkpoint_collectors(other, world().context)),
+      std::runtime_error);
 }
 
 TEST_F(CheckpointRejection, DifferentWindowParameters) {
   CheckpointRunOptions options = base_checkpoint_options();
-  options.window_cycles = 2'000'000;
-  options.resume_text = checkpoint();
-  expect_rejected(options);
+  options.resume_from = scratch_file("chaos-other-window.ckpt", checkpoint());
+  expect_rejected(options, 2'000'000);
+}
+
+// The stride is a multiple of the collectors' window, so checkpointing
+// needs collectors that have one.
+TEST_F(CheckpointRejection, CollectorsWithoutWindows) {
+  CheckpointRunOptions options = base_checkpoint_options();
+  options.halt_after_checkpoints = 1;
+  EXPECT_THROW(run_scenario_checkpointed(
+                   world().base, world().context, options,
+                   *checkpoint_collectors(world().base, world().context, 0)),
+               std::invalid_argument);
 }
 
 TEST_F(CheckpointRejection, MissingFile) {
@@ -323,11 +368,11 @@ TEST(SupervisedSweep, TimeoutQuarantineWithRetries) {
   grid.core_counts = {4};
   grid.policies = {"optimal"};
 
-  SweepSupervisorOptions options;
+  SweepOptions options;
   options.cell_timeout_ms = 1;
   options.supervision_slice_cycles = 50'000;
   options.max_attempts = 2;
-  const SupervisedSweepResult result = run_sweep_supervised(
+  const SweepResult result = run_sweep(
       grid, world().context, 1, ThreadPool::global(), options);
 
   ASSERT_EQ(result.failed.size(), 1u);
@@ -348,8 +393,8 @@ TEST(SupervisedSweep, DeadlockedCellsAreQuarantinedNotFatal) {
     grid.base.faults.core_events.push_back({50'000, core, true});
   }
 
-  SweepSupervisorOptions options;
-  const SupervisedSweepResult result = run_sweep_supervised(
+  SweepOptions options;
+  const SweepResult result = run_sweep(
       grid, world().context, grid.cell_count(), ThreadPool::global(),
       options);
 
@@ -368,10 +413,10 @@ TEST(SupervisedSweep, DeadlockedCellsAreQuarantinedNotFatal) {
 
 TEST(SupervisedSweep, ManifestResumeIsByteIdentical) {
   const SweepGrid grid = sweep_grid();
-  SweepSupervisorOptions options;
+  SweepOptions options;
   options.window_cycles = 1'000'000;
 
-  const SupervisedSweepResult clean = run_sweep_supervised(
+  const SweepResult clean = run_sweep(
       grid, world().context, 2, ThreadPool::global(), options);
   ASSERT_TRUE(clean.failed.empty());
   ASSERT_EQ(clean.cells.size(), 4u);
@@ -381,9 +426,10 @@ TEST(SupervisedSweep, ManifestResumeIsByteIdentical) {
   // those, resumed into a fresh sweep.
   const std::vector<SweepCell> subset(clean.cells.begin(),
                                       clean.cells.begin() + 2);
-  SweepSupervisorOptions resume = options;
-  resume.resume_manifest_text = serialize_sweep_manifest(grid, subset);
-  const SupervisedSweepResult resumed = run_sweep_supervised(
+  SweepOptions resume = options;
+  resume.resume_manifest = scratch_file(
+      "chaos-subset.manifest", serialize_sweep_manifest(grid, subset));
+  const SweepResult resumed = run_sweep(
       grid, world().context, 2, ThreadPool::global(), resume);
 
   ASSERT_TRUE(resumed.failed.empty());
@@ -397,9 +443,9 @@ TEST(SupervisedSweep, ManifestResumeIsByteIdentical) {
 
 TEST(SupervisedSweep, ManifestRejection) {
   const SweepGrid grid = sweep_grid();
-  SweepSupervisorOptions options;
+  SweepOptions options;
   options.window_cycles = 1'000'000;
-  const SupervisedSweepResult clean = run_sweep_supervised(
+  const SweepResult clean = run_sweep(
       grid, world().context, 2, ThreadPool::global(), options);
   const std::string manifest =
       serialize_sweep_manifest(grid, clean.cells);
@@ -420,9 +466,9 @@ TEST(SupervisedSweep, ManifestRejection) {
                std::runtime_error);
 
   // A rejected manifest must also fail the supervised run up front.
-  SweepSupervisorOptions resume = options;
-  resume.resume_manifest_text = "garbage";
-  EXPECT_THROW(run_sweep_supervised(grid, world().context, 2,
+  SweepOptions resume = options;
+  resume.resume_manifest = scratch_file("chaos-garbage.manifest", "garbage");
+  EXPECT_THROW(run_sweep(grid, world().context, 2,
                                     ThreadPool::global(), resume),
                std::runtime_error);
 }

@@ -16,6 +16,15 @@
 #   metrics_dag
 #       `scenario --metrics-out` on the DAG smoke scenario equals the
 #       fixture tests/cli/dag_smoke.metrics.json
+#   metrics_checkpointed
+#       `scenario --checkpoint-out --metrics-out` on the DAG smoke scenario
+#       writes the same metrics as the plain run (the fixture
+#       tests/cli/dag_smoke.metrics.json); --metrics-out with
+#       --resume-from is a usage error (exit 2)
+#   metrics_sweep_manifest
+#       `sweep --manifest-out --metrics-out` writes the same metrics as the
+#       same grid's plain `sweep --metrics-out`; --metrics-out with
+#       --cell-retries 2 is a usage error (exit 2)
 #   compare_observed
 #       `compare --arrivals 300 --scale 0.25 --trace-out --metrics-out`
 #       writes the same trace and metrics at --threads 1 and 4: the
@@ -36,6 +45,18 @@ function(run_cli)
                   ERROR_VARIABLE errors)
   if(NOT status EQUAL 0)
     message(FATAL_ERROR "hetsched_cli ${ARGN} exited ${status}: ${errors}")
+  endif()
+endfunction()
+
+# Runs hetsched_cli and requires exit status `expected`.
+function(expect_exit expected)
+  execute_process(COMMAND "${CLI}" ${ARGN}
+                  WORKING_DIRECTORY "${WORK_DIR}"
+                  RESULT_VARIABLE status
+                  OUTPUT_QUIET ERROR_QUIET)
+  if(NOT status EQUAL expected)
+    message(FATAL_ERROR
+            "hetsched_cli ${ARGN} exited ${status}, expected ${expected}")
   endif()
 endfunction()
 
@@ -90,6 +111,24 @@ elseif(CASE STREQUAL "metrics_dag")
           --metrics-out "${WORK_DIR}/metrics.json")
   expect_same("${WORK_DIR}/metrics.json"
               "${SOURCE_DIR}/tests/cli/dag_smoke.metrics.json")
+elseif(CASE STREQUAL "metrics_checkpointed")
+  set(scn "${scenarios}/dag_smoke.scn")
+  run_cli(scenario --file "${scn}" --checkpoint-out "${WORK_DIR}/run.ckpt"
+          --metrics-out "${WORK_DIR}/metrics.json")
+  expect_same("${WORK_DIR}/metrics.json"
+              "${SOURCE_DIR}/tests/cli/dag_smoke.metrics.json")
+  expect_exit(2 scenario --file "${scn}" --resume-from "${WORK_DIR}/run.ckpt"
+              --metrics-out "${WORK_DIR}/resumed.metrics.json")
+elseif(CASE STREQUAL "metrics_sweep_manifest")
+  set(grid --file "${scenarios}/streaming_smoke.scn" --sweep-cores 4
+           --sweep-policies base,optimal)
+  run_cli(sweep ${grid} --metrics-out "${WORK_DIR}/plain.metrics.json")
+  run_cli(sweep ${grid} --manifest-out "${WORK_DIR}/sweep.manifest"
+          --metrics-out "${WORK_DIR}/manifest.metrics.json")
+  expect_same("${WORK_DIR}/manifest.metrics.json"
+              "${WORK_DIR}/plain.metrics.json")
+  expect_exit(2 sweep ${grid} --cell-retries 2
+              --metrics-out "${WORK_DIR}/retried.metrics.json")
 elseif(CASE STREQUAL "compare_observed")
   # SHA-256 of the trace (about 0.5 MB, so not checked in).
   set(kCompareTraceSha256

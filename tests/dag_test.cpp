@@ -27,6 +27,7 @@
 #include "obs/windowed.hpp"
 #include "scenario/checkpoint.hpp"
 #include "scenario/scenario_runner.hpp"
+#include "util/atomic_file.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/profile_cache.hpp"
@@ -127,9 +128,7 @@ void check_topological_order(const Scenario& scenario,
                              const std::string& where) {
   PrecedenceRecorder recorder;
   ScenarioRun run(scenario, context, &recorder);
-  run.start();
-  run.advance_until(std::numeric_limits<SimTime>::max());
-  const SimulationResult result = run.finish();
+  const SimulationResult result = run.execute().result;
   ASSERT_EQ(result.completed_jobs, scenario.arrivals.count) << where;
   ASSERT_NE(run.dag(), nullptr) << where;
 
@@ -239,9 +238,7 @@ void check_stream_matches_batch(const Scenario& scenario,
                                 const ScenarioContext& context,
                                 const std::string& where) {
   ScenarioRun run(scenario, context);
-  run.start();
-  run.advance_until(std::numeric_limits<SimTime>::max());
-  const SimulationResult streamed = run.finish();
+  const SimulationResult streamed = run.execute().result;
   ASSERT_NE(run.dag(), nullptr) << where;
   const std::vector<JobArrival> realized = run.dag()->realized();
   ASSERT_EQ(realized.size(), scenario.arrivals.count) << where;
@@ -370,34 +367,36 @@ TEST(DagStatsAccounting, FixedDiamondReportsExpectedNumbers) {
 TEST(DagDeterminism, CheckpointKillAtEveryBoundaryMatches) {
   World& w = world();
   CheckpointRunOptions options;
-  options.window_cycles = 1'000'000;
   options.checkpoint_every = 1;
   std::vector<std::string> checkpoints;
   options.capture_checkpoints = &checkpoints;
-  const CheckpointRunOutcome full =
-      run_scenario_checkpointed(w.base, w.context, options);
+  RunCollectors full_collectors(w.base, &w.context.suite(), 1'000'000);
+  const CheckpointRunOutcome full = run_scenario_checkpointed(
+      w.base, w.context, options, full_collectors);
   ASSERT_FALSE(full.halted);
   ASSERT_TRUE(full.dag.has_value());
   EXPECT_GE(full.dag->releases, 1u);
   ASSERT_GE(checkpoints.size(), 3u);
 
   const std::string ref_result = result_text(full.result);
-  const std::string ref_windows = full.collectors->windows_jsonl();
+  const std::string ref_windows = full_collectors.windows_jsonl();
 
+  const std::string path = testing::TempDir() + "dag_kill_resume.ckpt";
   for (std::size_t k = 0; k < checkpoints.size(); ++k) {
+    ASSERT_TRUE(atomic_write_file(path, checkpoints[k]));
     CheckpointRunOptions resume;
-    resume.window_cycles = options.window_cycles;
     resume.checkpoint_every = options.checkpoint_every;
-    resume.resume_text = checkpoints[k];
+    resume.resume_from = path;
+    RunCollectors collectors(w.base, &w.context.suite(), 1'000'000);
     const CheckpointRunOutcome resumed =
-        run_scenario_checkpointed(w.base, w.context, resume);
+        run_scenario_checkpointed(w.base, w.context, resume, collectors);
     ASSERT_FALSE(resumed.halted);
     EXPECT_EQ(resumed.resumed_from, k + 1);
     EXPECT_EQ(resumed.stream.digest(), full.stream.digest())
         << "boundary " << k + 1;
     EXPECT_EQ(result_text(resumed.result), ref_result)
         << "boundary " << k + 1;
-    EXPECT_EQ(resumed.collectors->windows_jsonl(), ref_windows)
+    EXPECT_EQ(collectors.windows_jsonl(), ref_windows)
         << "boundary " << k + 1;
     ASSERT_TRUE(resumed.dag.has_value()) << "boundary " << k + 1;
     EXPECT_EQ(resumed.dag->releases, full.dag->releases)
@@ -417,25 +416,28 @@ TEST(DagDeterminism, CheckpointKillAtEveryBoundaryMatches) {
 TEST(DagCheckpoint, RejectsDagStateMismatch) {
   World& w = world();
   CheckpointRunOptions options;
-  options.window_cycles = 1'000'000;
   options.checkpoint_every = 1;
   std::vector<std::string> checkpoints;
   options.capture_checkpoints = &checkpoints;
-  const CheckpointRunOutcome full =
-      run_scenario_checkpointed(w.base, w.context, options);
+  RunCollectors full_collectors(w.base, &w.context.suite(), 1'000'000);
+  const CheckpointRunOutcome full = run_scenario_checkpointed(
+      w.base, w.context, options, full_collectors);
   ASSERT_FALSE(full.halted);
   ASSERT_GE(checkpoints.size(), 1u);
 
   Scenario stripped = w.base;
   stripped.dag = DagSpec{};
+  const std::string path = testing::TempDir() + "dag_mismatch.ckpt";
+  ASSERT_TRUE(atomic_write_file(path, checkpoints[0]));
   CheckpointRunOptions resume;
-  resume.window_cycles = options.window_cycles;
   resume.checkpoint_every = options.checkpoint_every;
-  resume.resume_text = checkpoints[0];
+  resume.resume_from = path;
+  RunCollectors collectors(stripped, &w.context.suite(), 1'000'000);
   // The scenario fingerprint covers the dep edges, so the mismatch is
   // caught before the dag-state flag is even reached.
-  EXPECT_THROW(run_scenario_checkpointed(stripped, w.context, resume),
-               std::runtime_error);
+  EXPECT_THROW(
+      run_scenario_checkpointed(stripped, w.context, resume, collectors),
+      std::runtime_error);
 }
 
 // --- Golden scenario -----------------------------------------------------

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -171,12 +170,7 @@ ScenarioOutcome run_outcome(const Scenario& scenario,
                             const ScenarioContext& context, bool naive) {
   ScenarioRun run(scenario, context);
   run.simulator().set_naive_dispatch(naive);
-  run.start();
-  run.advance_until(std::numeric_limits<SimTime>::max());
-  SimulationResult result = run.finish();
-  return ScenarioOutcome{std::move(result), std::move(run.stats()),
-                         run.simulator().dispatch_telemetry(),
-                         std::nullopt, std::nullopt};
+  return run.execute();
 }
 
 std::string result_text(const SimulationResult& result) {
@@ -426,6 +420,44 @@ TEST(FuzzScenario, DepSpellingsKeepTheirDiagnostics) {
       EXPECT_EQ(scenario.dag.edges[1].to, 2u) << c.line;
     }
   }
+}
+
+// A DAG source materialises every job, so a scenario with dep edges has
+// a bounded job count: an oversized `jobs` line is a clean error naming
+// that line instead of a std::bad_alloc when the run is built.
+TEST(FuzzScenario, OversizedDagNamesTheJobsLine) {
+  const std::string limit = std::to_string(kMaxDagJobs);
+  const auto parse_error = [](const std::string& text) {
+    std::istringstream in(text);
+    try {
+      Scenario::parse(in);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const auto too_many = [&](int line, const std::string& jobs) {
+    return "scenario line " + std::to_string(line) + ": jobs " + jobs +
+           " exceeds the limit of " + limit +
+           " jobs for a scenario with dep edges";
+  };
+  const std::string over = std::to_string(kMaxDagJobs + 1);
+  EXPECT_EQ(parse_error("name big\npolicy base\njobs 1000000000000\n"
+                        "dep 0 1\n"),
+            too_many(3, "1000000000000"));
+  EXPECT_EQ(parse_error("name big\npolicy base\ndep 0 1\njobs " + over +
+                        "\n"),
+            too_many(4, over));
+  EXPECT_EQ(parse_error("name big\npolicy base\njobs " + limit +
+                        "\ndep 0 1\n"),
+            "");
+  // Independent jobs stream in O(cores) memory and stay unbounded.
+  EXPECT_EQ(parse_error("name big\npolicy base\njobs 1000000000000\n"), "");
+
+  Scenario scenario;
+  scenario.arrivals.count = kMaxDagJobs + 1;
+  scenario.dag.edges.push_back({0, 1});
+  EXPECT_THROW(scenario.validate(), std::invalid_argument);
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include "obs/windowed.hpp"
 #include "scenario/checkpoint.hpp"
 #include "scenario/scenario_runner.hpp"
+#include "util/atomic_file.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/arrivals.hpp"
@@ -370,32 +371,34 @@ TEST(LatencyDeterminism, StreamAndBatchSpansAreByteIdentical) {
 TEST(LatencyDeterminism, KillAtEveryBoundaryPreservesSpanState) {
   World& w = world();
   CheckpointRunOptions options;
-  options.window_cycles = 1'000'000;
   options.checkpoint_every = 1;
   std::vector<std::string> checkpoints;
   options.capture_checkpoints = &checkpoints;
-  const CheckpointRunOutcome full =
-      run_scenario_checkpointed(w.base, w.context, options);
+  RunCollectors full_collectors(w.base, &w.context.suite(), 1'000'000);
+  const CheckpointRunOutcome full = run_scenario_checkpointed(
+      w.base, w.context, options, full_collectors);
   ASSERT_FALSE(full.halted);
   ASSERT_GE(checkpoints.size(), 3u);
 
-  const std::string ref_windows = full.collectors->windows_jsonl();
-  const std::string ref_latency = latency_json(*full.collectors->spans());
-  EXPECT_EQ(full.collectors->spans()->jobs_completed(),
+  const std::string ref_windows = full_collectors.windows_jsonl();
+  const std::string ref_latency = latency_json(*full_collectors.spans());
+  EXPECT_EQ(full_collectors.spans()->jobs_completed(),
             full.result.completed_jobs);
 
+  const std::string path = testing::TempDir() + "latency_kill_resume.ckpt";
   for (std::size_t k = 0; k < checkpoints.size(); ++k) {
+    ASSERT_TRUE(atomic_write_file(path, checkpoints[k]));
     CheckpointRunOptions resume;
-    resume.window_cycles = 1'000'000;
     resume.checkpoint_every = 1;
-    resume.resume_text = checkpoints[k];
+    resume.resume_from = path;
+    RunCollectors collectors(w.base, &w.context.suite(), 1'000'000);
     const CheckpointRunOutcome resumed =
-        run_scenario_checkpointed(w.base, w.context, resume);
+        run_scenario_checkpointed(w.base, w.context, resume, collectors);
     ASSERT_FALSE(resumed.halted);
     EXPECT_EQ(resumed.resumed_from, k + 1);
-    EXPECT_EQ(resumed.collectors->windows_jsonl(), ref_windows)
+    EXPECT_EQ(collectors.windows_jsonl(), ref_windows)
         << "boundary " << k + 1;
-    EXPECT_EQ(latency_json(*resumed.collectors->spans()), ref_latency)
+    EXPECT_EQ(latency_json(*collectors.spans()), ref_latency)
         << "boundary " << k + 1;
   }
 }

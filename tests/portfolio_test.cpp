@@ -29,6 +29,7 @@
 #include "obs/windowed.hpp"
 #include "scenario/checkpoint.hpp"
 #include "scenario/scenario_runner.hpp"
+#include "util/atomic_file.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/arrivals.hpp"
@@ -275,35 +276,37 @@ TEST(PortfolioDeterminism, StreamAndBatchAgreeIncludingSwitchEvents) {
 TEST(PortfolioDeterminism, CheckpointKillAndResumeRebuildsSelectorState) {
   World& w = world();
   CheckpointRunOptions options;
-  options.window_cycles = 1'000'000;
   options.checkpoint_every = 1;
   std::vector<std::string> checkpoints;
   options.capture_checkpoints = &checkpoints;
-  const CheckpointRunOutcome full =
-      run_scenario_checkpointed(w.base, w.context, options);
+  RunCollectors full_collectors(w.base, &w.context.suite(), 1'000'000);
+  const CheckpointRunOutcome full = run_scenario_checkpointed(
+      w.base, w.context, options, full_collectors);
   ASSERT_FALSE(full.halted);
   ASSERT_TRUE(full.portfolio.has_value());
   EXPECT_GE(full.portfolio->switches.size(), 1u);
   ASSERT_GE(checkpoints.size(), 3u);
 
   const std::string ref_result = result_text(full.result);
-  const std::string ref_windows = full.collectors->windows_jsonl();
+  const std::string ref_windows = full_collectors.windows_jsonl();
   const std::string ref_switches = portfolio_switch_jsonl(*full.portfolio);
 
+  const std::string path = testing::TempDir() + "portfolio_kill_resume.ckpt";
   for (std::size_t k = 0; k < checkpoints.size(); ++k) {
+    ASSERT_TRUE(atomic_write_file(path, checkpoints[k]));
     CheckpointRunOptions resume;
-    resume.window_cycles = options.window_cycles;
     resume.checkpoint_every = options.checkpoint_every;
-    resume.resume_text = checkpoints[k];
+    resume.resume_from = path;
+    RunCollectors collectors(w.base, &w.context.suite(), 1'000'000);
     const CheckpointRunOutcome resumed =
-        run_scenario_checkpointed(w.base, w.context, resume);
+        run_scenario_checkpointed(w.base, w.context, resume, collectors);
     ASSERT_FALSE(resumed.halted);
     EXPECT_EQ(resumed.resumed_from, k + 1);
     EXPECT_EQ(resumed.stream.digest(), full.stream.digest())
         << "boundary " << k + 1;
     EXPECT_EQ(result_text(resumed.result), ref_result)
         << "boundary " << k + 1;
-    EXPECT_EQ(resumed.collectors->windows_jsonl(), ref_windows)
+    EXPECT_EQ(collectors.windows_jsonl(), ref_windows)
         << "boundary " << k + 1;
     ASSERT_TRUE(resumed.portfolio.has_value());
     EXPECT_EQ(portfolio_switch_jsonl(*resumed.portfolio), ref_switches)

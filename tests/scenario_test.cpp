@@ -421,7 +421,7 @@ TEST(Sweep, ResultsAreThreadAndShardInvariant) {
   const auto snapshot = [&](std::size_t threads, std::size_t shards) {
     ThreadPool pool(threads);
     const std::vector<SweepCell> cells =
-        run_sweep(grid, w.context, shards, pool);
+        run_sweep(grid, w.context, shards, pool).cells;
     MetricsRegistry metrics;
     record_sweep_metrics(metrics, "sweep.", cells);
     std::ostringstream json;

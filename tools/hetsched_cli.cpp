@@ -17,14 +17,16 @@
 //   hetsched_cli train     --save <file> [common options]
 //       train the ANN predictor and persist it
 //   hetsched_cli scenario  --file <file.scn> [--profile-cache F] [obs flags]
+//                          [checkpoint flags]
 //       run one scenario file under the streaming driver and print its
 //       accounting plus the stream digest
 //   hetsched_cli sweep     --file <file.scn> [--sweep-cores LIST]
 //                          [--sweep-gaps LIST] [--sweep-policies LIST]
 //                          [--shards N]
 //       fan a (cores x arrival gap x policy) grid built from the scenario
-//       file across the thread pool in contiguous shards; results are
-//       bit-identical for every --threads / --shards combination
+//       file across the thread pool in contiguous shards and print one
+//       row per cell (status ok or FAILED); results are bit-identical
+//       for every --threads / --shards combination
 //   hetsched_cli bench-diff <baseline.json> <current.json> [--tolerance X]
 //       compare two BENCH_*.json result files; exits non-zero when any
 //       classified metric regressed beyond the tolerance (the CI bench
@@ -58,7 +60,8 @@
 //                        (ts = simulated cycles, deterministic)
 //   --metrics-out FILE   write the session metrics registry as JSON (pool,
 //                        profile cache, sim.* counters, results); attaches
-//                        counters only, no trace is retained
+//                        counters only, no trace is retained; refused
+//                        with --resume-from and --cell-retries above 1
 //   --max-trace-events N retain at most N --trace-out events per tracer
 //                        (0 = unlimited; default 1M, drops counted)
 //   --windows-out FILE   write per-window telemetry as JSONL (run,
@@ -73,7 +76,8 @@
 //                        so two identical runs produce byte-identical
 //                        reports (the resume-verification mode)
 //
-// Crash-safe execution (scenario):
+// Crash-safe execution (scenario). A scenario is one run whichever of
+// these flags are given; without them it runs straight through:
 //   --checkpoint-out F   write a resumable checkpoint atomically at every
 //                        stride boundary (window-cycles * checkpoint-every)
 //   --checkpoint-every N windows per checkpoint stride (default 1)
@@ -84,12 +88,19 @@
 //                        stop (exit 3) after writing N checkpoints —
 //                        a deterministic stand-in for a crash
 //
-// Supervised sweeps (sweep):
+// Sweep supervision (sweep). Every sweep runs under the same supervisor;
+// the defaults run each cell once without a deadline, and a cell that
+// fails is quarantined (status FAILED in the table, exit 1):
 //   --cell-timeout-ms N  wall-clock budget per cell attempt
 //   --cell-retries N     attempts per cell before quarantine (default 1)
 //   --cell-backoff-ms N  sleep between attempts of one cell
 //   --manifest-out F     persist a shard manifest after every completed
 //                        cell; --resume-from it to skip completed cells
+//
+// --trace-out and --metrics-out observe the events this process runs, so
+// both are refused (exit 2) with --resume-from and with --cell-retries
+// above 1; --trace-out is refused with every checkpoint flag as well
+// (trace buffers are not part of the checkpointed state).
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -172,20 +183,19 @@ struct CliOptions {
   std::string manifest_out_path;
   bool deterministic_report = false;
 
-  // Window width for the run's collectors; 0 (none) unless a report or
-  // windows output was asked for.
+  // Window width for the run's collectors; 0 (none) unless a report, a
+  // windows output or a scenario checkpoint (which carries the
+  // collectors' state) was asked for.
   SimTime collector_window() const {
-    return report_out_path.empty() && windows_out_path.empty()
+    return report_out_path.empty() && windows_out_path.empty() &&
+                   !wants_checkpointing()
                ? 0
                : window_cycles;
   }
   bool wants_checkpointing() const {
-    return !checkpoint_out_path.empty() || !resume_from_path.empty() ||
-           halt_after_checkpoints > 0;
-  }
-  bool wants_supervision() const {
-    return cell_timeout_ms > 0 || cell_retries > 1 || cell_backoff_ms > 0 ||
-           !manifest_out_path.empty() || !resume_from_path.empty();
+    return command == "scenario" &&
+           (!checkpoint_out_path.empty() || !resume_from_path.empty() ||
+            halt_after_checkpoints > 0);
   }
 };
 
@@ -297,9 +307,12 @@ struct ObsSession {
       "                  stuck jobs and counter corruption\n"
       "  --fault-seed N  fault-decision seed (default 1)\n"
       "  --trace-out F   write a Chrome-trace/Perfetto JSON (ts in\n"
-      "                  simulated cycles; open in ui.perfetto.dev)\n"
+      "                  simulated cycles; open in ui.perfetto.dev);\n"
+      "                  refused with the checkpoint flags and with\n"
+      "                  --cell-retries above 1\n"
       "  --metrics-out F write the metrics-registry snapshot as JSON\n"
-      "                  (counters only; retains no trace)\n"
+      "                  (counters only; retains no trace); refused\n"
+      "                  with --resume-from and --cell-retries above 1\n"
       "  --max-trace-events N\n"
       "                  retain at most N --trace-out events per tracer\n"
       "                  (0 = unlimited; default 1000000)\n"
@@ -325,6 +338,7 @@ struct ObsSession {
       "                  (sweep) wall-clock budget per cell attempt\n"
       "  --cell-retries N\n"
       "                  (sweep) attempts per cell before quarantine\n"
+      "                  (default 1; a quarantined cell is FAILED)\n"
       "  --cell-backoff-ms N\n"
       "                  (sweep) sleep between attempts of one cell\n"
       "  --manifest-out F\n"
@@ -563,6 +577,22 @@ CliOptions parse(int argc, char** argv) {
       window_interval_error(options.window_cycles, options.checkpoint_every);
   if (!interval_error.empty()) {
     usage("--window-cycles/--checkpoint-every: " + interval_error);
+  }
+  // Trace buffers are not part of the checkpointed state, so a resumed
+  // trace could never match.
+  if (!options.trace_out_path.empty() && options.wants_checkpointing()) {
+    usage("--trace-out cannot be combined with checkpoint/resume flags "
+          "(trace buffers are not part of the checkpointed state)");
+  }
+  // The session observer counts the events this process runs: a resumed
+  // run skips those before the checkpoint or of the manifest's cells,
+  // and a retried cell runs its events again.
+  if ((!options.trace_out_path.empty() ||
+       !options.metrics_out_path.empty()) &&
+      (!options.resume_from_path.empty() || options.cell_retries > 1)) {
+    usage("--trace-out and --metrics-out cannot be combined with "
+          "--resume-from or --cell-retries above 1 (the session observer "
+          "must see every event of the run exactly once)");
   }
   require_parent_dir("--trace-out", options.trace_out_path);
   require_parent_dir("--metrics-out", options.metrics_out_path);
@@ -913,32 +943,13 @@ int cmd_scenario(const CliOptions& options, ObsSession* obs) {
     const auto scope = timers.scope("setup");
     context.emplace(*scenario, options.profile_cache_path);
   }
-  if (!options.wants_checkpointing()) {
-    RunCollectors collectors(
-        *scenario, &context->suite(), options.collector_window(),
-        obs != nullptr ? &obs->add_system(scenario->name) : nullptr);
-    std::optional<ScenarioOutcome> outcome;
-    {
-      const auto scope = timers.scope("run");
-      outcome.emplace(
-          run_scenario(*scenario, *context, collectors.observer()));
-    }
-    collectors.finalize();
-    return finish_run(options, obs, timers, "scenario", *scenario, *context,
-                      *outcome, collectors);
-  }
-
-  // Checkpointed execution: the driver owns the collectors (their
-  // accumulators are part of the resumable state) and no sim tracer is
-  // attached (trace buffers are not checkpointed, so a resumed trace
-  // could never match). With --report-deterministic every output of a
-  // resumed run is byte-identical to the uninterrupted one.
-  if (!options.trace_out_path.empty()) {
-    usage("--trace-out cannot be combined with checkpoint/resume flags "
-          "(trace buffers are not part of the checkpointed state)");
-  }
+  // The collectors' accumulators are part of the checkpointed state, so
+  // with --report-deterministic every output of a resumed run is
+  // byte-identical to the uninterrupted one.
+  RunCollectors collectors(
+      *scenario, &context->suite(), options.collector_window(),
+      obs != nullptr ? &obs->add_system(scenario->name) : nullptr);
   CheckpointRunOptions copts;
-  copts.window_cycles = options.window_cycles;
   copts.checkpoint_every = options.checkpoint_every;
   copts.checkpoint_out = options.checkpoint_out_path;
   copts.resume_from = options.resume_from_path;
@@ -946,7 +957,8 @@ int cmd_scenario(const CliOptions& options, ObsSession* obs) {
   std::optional<CheckpointRunOutcome> outcome;
   {
     const auto scope = timers.scope("run");
-    outcome.emplace(run_scenario_checkpointed(*scenario, *context, copts));
+    outcome.emplace(
+        run_scenario_checkpointed(*scenario, *context, copts, collectors));
   }
   if (outcome->resumed_from > 0) {
     std::cout << "resumed from checkpoint boundary " << outcome->resumed_from
@@ -963,7 +975,7 @@ int cmd_scenario(const CliOptions& options, ObsSession* obs) {
     return 3;
   }
   return finish_run(options, obs, timers, "scenario", *scenario, *context,
-                    *outcome, *outcome->collectors);
+                    *outcome, collectors);
 }
 
 // "8,16" -> {8, 16}; parse errors go through the flag's usual parser.
@@ -1012,90 +1024,66 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
   const std::size_t shards =
       options.shards == 0 ? grid.cell_count() : options.shards;
 
-  // Supervised mode: per-cell timeout/retry/quarantine, optional shard
-  // manifest for resume. Completed cells resumed from a manifest are not
-  // re-run, so there are no per-cell tracers; their collectors come back
-  // from the manifest, so the merged outputs match a clean run's.
-  const bool supervised = options.wants_supervision();
-  std::vector<SweepCell> cells;
-  std::vector<SweepFailure> failed;
-  if (supervised) {
-    if (!options.trace_out_path.empty()) {
-      usage("--trace-out cannot be combined with supervised-sweep flags "
-            "(completed cells resumed from a manifest are not re-run)");
-    }
-    SweepSupervisorOptions sopts;
-    sopts.cell_timeout_ms = options.cell_timeout_ms;
-    sopts.max_attempts = options.cell_retries;
-    sopts.retry_backoff_ms = options.cell_backoff_ms;
-    sopts.window_cycles = options.collector_window();
-    sopts.manifest_out = options.manifest_out_path;
-    sopts.resume_manifest = options.resume_from_path;
-    std::optional<SupervisedSweepResult> sweep;
-    {
-      const auto scope = timers.scope("run");
-      sweep.emplace(run_sweep_supervised(grid, *context, shards,
-                                         ThreadPool::global(), sopts));
-    }
-    if (sweep->resumed_cells > 0) {
-      std::cout << sweep->resumed_cells
-                << " cell(s) resumed from the manifest\n";
-    }
-    cells = std::move(sweep->cells);
-    failed = std::move(sweep->failed);
-  } else {
-    // Per-cell observers, created serially before the fan-out (stable
-    // registration order), each touched only by the shard running its
-    // cell.
-    std::vector<ScheduleObserver*> observers;
-    for (std::size_t i = 0; obs != nullptr && i < grid.cell_count(); ++i) {
-      observers.push_back(&obs->add_system(grid.cell_label(i)));
-    }
+  // Per-cell observers, created serially before the fan-out (stable
+  // registration order), each touched only by the shard running its
+  // cell. Completed cells resumed from a manifest come back with their
+  // collectors, so the merged outputs match a clean run's.
+  std::vector<ScheduleObserver*> observers;
+  for (std::size_t i = 0; obs != nullptr && i < grid.cell_count(); ++i) {
+    observers.push_back(&obs->add_system(grid.cell_label(i)));
+  }
+  SweepOptions sopts;
+  sopts.cell_timeout_ms = options.cell_timeout_ms;
+  sopts.max_attempts = options.cell_retries;
+  sopts.retry_backoff_ms = options.cell_backoff_ms;
+  sopts.window_cycles = options.collector_window();
+  sopts.manifest_out = options.manifest_out_path;
+  sopts.resume_manifest = options.resume_from_path;
+  std::optional<SweepResult> sweep;
+  {
     const auto scope = timers.scope("run");
-    cells = run_sweep(grid, *context, shards, ThreadPool::global(),
-                      options.collector_window(), observers);
+    sweep.emplace(run_sweep(grid, *context, shards, ThreadPool::global(),
+                            sopts, observers));
+  }
+  if (sweep->resumed_cells > 0) {
+    std::cout << sweep->resumed_cells
+              << " cell(s) resumed from the manifest\n";
   }
 
-  std::vector<std::string> columns{"cell"};
-  if (supervised) columns.push_back("status");
-  for (const char* column : {"completed", "total mJ", "makespan", "digest"}) {
-    columns.push_back(column);
-  }
-  TablePrinter table(columns);
+  TablePrinter table(
+      {"cell", "status", "completed", "total mJ", "makespan", "digest"});
   std::uint64_t violations = 0;
-  for (const SweepCell& cell : cells) {
-    std::vector<std::string> row{cell.label};
-    if (supervised) row.push_back(cell.completed ? "ok" : "FAILED");
+  for (const SweepCell& cell : sweep->cells) {
     if (!cell.completed) {
-      row.insert(row.end(), 4, "-");
-      table.add_row(row);
+      table.add_row({cell.label, "FAILED", "-", "-", "-", "-"});
       continue;
     }
     std::ostringstream digest;
     digest << std::hex << cell.stream_digest;
-    row.insert(row.end(),
-               {std::to_string(cell.result.completed_jobs),
-                TablePrinter::num(cell.result.total_energy().millijoules(), 2),
-                std::to_string(cell.result.makespan), digest.str()});
-    table.add_row(row);
+    table.add_row(
+        {cell.label, "ok", std::to_string(cell.result.completed_jobs),
+         TablePrinter::num(cell.result.total_energy().millijoules(), 2),
+         std::to_string(cell.result.makespan), digest.str()});
     violations += cell.invariant_violations;
   }
   std::cout << grid.cell_count() << " cells in " << shards << " shards ("
-            << ThreadPool::global().thread_count() << " threads";
-  if (supervised) std::cout << ", " << failed.size() << " quarantined";
-  std::cout << "):\n";
+            << ThreadPool::global().thread_count() << " threads, "
+            << sweep->failed.size() << " quarantined):\n";
   table.print(std::cout);
-  for (const SweepFailure& f : failed) {
+  for (const SweepFailure& f : sweep->failed) {
     std::cerr << "quarantined " << f.label << " after " << f.attempts
               << " attempt(s): " << (f.timed_out ? "timeout: " : "")
               << f.reason << "\n";
   }
-  if (obs != nullptr) record_sweep_metrics(obs->metrics, "sweep.", cells);
+  if (obs != nullptr) {
+    record_sweep_metrics(obs->metrics, "sweep.", sweep->cells);
+  }
 
   const int export_status = export_reports(
-      options, timers, build_sweep_report(grid, *context, cells, failed));
+      options, timers,
+      build_sweep_report(grid, *context, sweep->cells, sweep->failed));
   if (export_status != 0) return export_status;
-  if (!failed.empty()) return 1;
+  if (!sweep->failed.empty()) return 1;
   if (violations != 0) {
     std::cerr << "error: " << violations << " schedule invariant violations\n";
     return 1;
@@ -1103,26 +1091,19 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
   return 0;
 }
 
-std::optional<std::string> slurp_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 int cmd_bench_diff(const CliOptions& options) {
   if (options.positional.size() != 2) {
     usage("bench-diff expects exactly two operands: BASELINE.json "
           "CURRENT.json");
   }
-  auto slurp = slurp_file;
-  const std::optional<std::string> baseline = slurp(options.positional[0]);
+  const std::optional<std::string> baseline =
+      read_file(options.positional[0]);
   if (!baseline.has_value()) {
     std::cerr << "cannot open " << options.positional[0] << "\n";
     return 2;
   }
-  const std::optional<std::string> current = slurp(options.positional[1]);
+  const std::optional<std::string> current =
+      read_file(options.positional[1]);
   if (!current.has_value()) {
     std::cerr << "cannot open " << options.positional[1] << "\n";
     return 2;
@@ -1145,13 +1126,13 @@ int cmd_analyze(const CliOptions& options) {
             "CURRENT.json");
     }
     const std::optional<std::string> baseline =
-        slurp_file(options.positional[0]);
+        read_file(options.positional[0]);
     if (!baseline.has_value()) {
       std::cerr << "cannot open " << options.positional[0] << "\n";
       return 2;
     }
     const std::optional<std::string> current =
-        slurp_file(options.positional[1]);
+        read_file(options.positional[1]);
     if (!current.has_value()) {
       std::cerr << "cannot open " << options.positional[1] << "\n";
       return 2;
@@ -1168,7 +1149,7 @@ int cmd_analyze(const CliOptions& options) {
       usage("analyze requires --report FILE (or --diff A B)");
     }
     const std::optional<std::string> report =
-        slurp_file(options.analyze_report_path);
+        read_file(options.analyze_report_path);
     if (!report.has_value()) {
       std::cerr << "cannot open " << options.analyze_report_path << "\n";
       return 2;
@@ -1176,7 +1157,7 @@ int cmd_analyze(const CliOptions& options) {
     std::string windows;
     if (!options.analyze_windows_path.empty()) {
       const std::optional<std::string> jsonl =
-          slurp_file(options.analyze_windows_path);
+          read_file(options.analyze_windows_path);
       if (!jsonl.has_value()) {
         std::cerr << "cannot open " << options.analyze_windows_path << "\n";
         return 2;
