@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark): throughput/latency of the
 // simulator's hot components — cache access simulation, Figure-4 energy
-// evaluation, ANN inference, heuristic stepping, and the end-to-end
-// event-driven scheduling loop.
+// evaluation, ANN inference and training steps, heuristic stepping, and
+// the end-to-end event-driven scheduling loop.
 #include <benchmark/benchmark.h>
 
+#include "ann/mlp.hpp"
 #include "core/tuning_heuristic.hpp"
 #include "experiment/experiment.hpp"
 
@@ -70,6 +71,25 @@ void BM_AnnInference(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AnnInference);
+
+// One mini-batch SGD step of the paper's {10,18,5,1} net on a batch of 8,
+// on the reused buffers Trainer::fit gives it: the unit of ANN training
+// (bagging runs tens of thousands of them per member).
+void BM_AnnTrainBatch(benchmark::State& state) {
+  Rng rng(3);
+  Mlp net(MlpConfig{{10, 18, 5, 1}}, rng);
+  Matrix inputs(8, 10);
+  Matrix targets(8, 1);
+  for (double& v : inputs.flat()) v = rng.uniform(-1.5, 1.5);
+  for (double& v : targets.flat()) v = rng.uniform(0.0, 3.0);
+  Mlp::Workspace workspace;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        net.train_batch(inputs, targets, 0.05, 0.9, workspace));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_AnnTrainBatch);
 
 void BM_TuningHeuristicStep(benchmark::State& state) {
   ProfilingTable table(1);

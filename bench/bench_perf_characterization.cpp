@@ -11,6 +11,9 @@
 //                      (HETSCHED_THREADS or hardware concurrency).
 //   snapshot         : reload from the persistent profile cache.
 //
+// It then times the next set-up step, training the paper's bagged ANN
+// predictor on the suite (one thread: the per-net cost).
+//
 // All four produce bit-identical suites (verified by fastpath_test and
 // re-checked cheaply here). Results go to BENCH_characterization.json.
 #include <chrono>
@@ -18,9 +21,11 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
+#include "core/predictor.hpp"
 #include "energy/energy_model.hpp"
 #include "util/atomic_file.hpp"
 #include "util/table_printer.hpp"
@@ -61,8 +66,9 @@ int main() {
   const double single_pass_ms = time_ms(
       [&] { CharacterizedSuite::build(model, options, one); });
 
-  const double pooled_ms =
-      time_ms([&] { CharacterizedSuite::build(model, options); });
+  std::optional<CharacterizedSuite> pooled_suite;
+  const double pooled_ms = time_ms(
+      [&] { pooled_suite.emplace(CharacterizedSuite::build(model, options)); });
 
   // Snapshot: first call populates the cache file, second call times the
   // pure reload.
@@ -86,6 +92,16 @@ int main() {
   std::cout << "\nSuite: " << suite_size
             << " benchmark instances x 18 configurations\n";
 
+  // What every compare and `ensemble` scenario pays next: training the
+  // paper's 30-net bagged predictor on this suite, here on one thread.
+  ThreadPool::set_global_threads(1);
+  const double ann_train_ms = time_ms([&] {
+    train_size_predictor(*pooled_suite, PredictorConfig{}, 42);
+  });
+  ThreadPool::set_global_threads(threads);
+  std::cout << "ANN training (paper predictor, 1 thread): "
+            << TablePrinter::num(ann_train_ms, 1) << " ms\n";
+
   std::ostringstream json;
   json << "{\n"
        << "  \"benchmark\": \"characterization\",\n"
@@ -97,7 +113,8 @@ int main() {
        << "  \"snapshot_ms\": " << snapshot_ms << ",\n"
        << "  \"single_pass_speedup\": " << serial_ms / single_pass_ms << ",\n"
        << "  \"pooled_speedup\": " << serial_ms / pooled_ms << ",\n"
-       << "  \"snapshot_speedup\": " << serial_ms / snapshot_ms << "\n"
+       << "  \"snapshot_speedup\": " << serial_ms / snapshot_ms << ",\n"
+       << "  \"ann_train_ms\": " << ann_train_ms << "\n"
        << "}\n";
   hetsched::atomic_write_file("BENCH_characterization.json", json.str());
   std::cout << "Results written to BENCH_characterization.json\n";

@@ -40,12 +40,15 @@ void activate_inplace(Activation a, Matrix& m) {
   }
 }
 
-Matrix activation_grad(Activation a, const Matrix& activated) {
-  Matrix grad = activated;
-  for (double& v : grad.flat()) {
-    v = activate_grad_from_output(a, v);
+void multiply_by_activation_grad(Activation a, const Matrix& activated,
+                                 Matrix& delta) {
+  HETSCHED_REQUIRE(activated.rows() == delta.rows() &&
+                   activated.cols() == delta.cols());
+  const std::span<const double> y = activated.flat();
+  const std::span<double> d = delta.flat();
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    d[i] *= activate_grad_from_output(a, y[i]);
   }
-  return grad;
 }
 
 }  // namespace hetsched

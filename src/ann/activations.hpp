@@ -20,7 +20,9 @@ double activate_grad_from_output(Activation a, double y);
 
 // Elementwise application over a matrix (in place).
 void activate_inplace(Activation a, Matrix& m);
-// Produces f'(x) for every element given the activated matrix.
-Matrix activation_grad(Activation a, const Matrix& activated);
+// Backprop through the activation, in place: multiplies every element of
+// `delta` by f'(x), taken from the same element of `activated`.
+void multiply_by_activation_grad(Activation a, const Matrix& activated,
+                                 Matrix& delta);
 
 }  // namespace hetsched

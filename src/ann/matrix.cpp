@@ -1,8 +1,28 @@
 #include "ann/matrix.hpp"
 
 #include <cmath>
+#include <type_traits>
 
 namespace hetsched {
+
+namespace {
+
+// Calls `kernel(n)` with `n` as a compile-time constant when it is one of
+// the paper topology's layer widths after the input (18, 5, 1), so the
+// loops over it unroll completely; any other width runs the same loop
+// with a run-time bound. Either way each element sees the same operations
+// in the same order.
+template <typename Kernel>
+void with_width(std::size_t n, Kernel&& kernel) {
+  switch (n) {
+    case 1: return kernel(std::integral_constant<std::size_t, 1>{});
+    case 5: return kernel(std::integral_constant<std::size_t, 5>{});
+    case 18: return kernel(std::integral_constant<std::size_t, 18>{});
+    default: return kernel(n);
+  }
+}
+
+}  // namespace
 
 Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
   HETSCHED_REQUIRE(!rows.empty());
@@ -27,48 +47,91 @@ Matrix Matrix::xavier(std::size_t fan_in, std::size_t fan_out, Rng& rng) {
   return m;
 }
 
-Matrix Matrix::matmul(const Matrix& other) const {
+void Matrix::matmul_into(const Matrix& other, Matrix& out) const {
   HETSCHED_REQUIRE(cols_ == other.rows_);
-  Matrix out(rows_, other.cols_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = at(i, k);
-      if (a == 0.0) continue;
-      for (std::size_t j = 0; j < other.cols_; ++j) {
-        out.at(i, j) += a * other.at(k, j);
+  HETSCHED_REQUIRE(&out != this && &out != &other);
+  out.reset(rows_, other.cols_);
+  with_width(other.cols_, [&](auto n) {
+    for (std::size_t i = 0; i < rows_; ++i) {
+      const double* a = data_.data() + i * cols_;
+      double* o = out.data_.data() + i * n;
+      for (std::size_t k = 0; k < cols_; ++k) {
+        const double aik = a[k];
+        if (aik == 0.0) continue;
+        const double* b = other.data_.data() + k * n;
+        for (std::size_t j = 0; j < n; ++j) o[j] += aik * b[j];
       }
     }
+  });
+}
+
+void Matrix::transposed_matmul_into(const Matrix& other, Matrix& out) const {
+  HETSCHED_REQUIRE(rows_ == other.rows_);
+  HETSCHED_REQUIRE(&out != this && &out != &other);
+  out.reset(cols_, other.cols_);
+  with_width(other.cols_, [&](auto n) {
+    for (std::size_t k = 0; k < rows_; ++k) {
+      const double* a = data_.data() + k * cols_;
+      const double* b = other.data_.data() + k * n;
+      for (std::size_t i = 0; i < cols_; ++i) {
+        const double aki = a[i];
+        if (aki == 0.0) continue;
+        double* o = out.data_.data() + i * n;
+        for (std::size_t j = 0; j < n; ++j) o[j] += aki * b[j];
+      }
+    }
+  });
+}
+
+void Matrix::matmul_transposed_into(const Matrix& other, Matrix& out) const {
+  HETSCHED_REQUIRE(cols_ == other.cols_);
+  HETSCHED_REQUIRE(&out != this && &out != &other);
+  out.reset(rows_, other.rows_);
+  double* o = out.data_.data();
+  with_width(cols_, [&](auto n) {
+    for (std::size_t i = 0; i < rows_; ++i) {
+      const double* a = data_.data() + i * n;
+      for (std::size_t j = 0; j < other.rows_; ++j) {
+        const double* b = other.data_.data() + j * n;
+        double acc = 0.0;
+        for (std::size_t k = 0; k < n; ++k) acc += a[k] * b[k];
+        *o++ = acc;
+      }
+    }
+  });
+}
+
+void Matrix::column_sums_into(Matrix& out) const {
+  HETSCHED_REQUIRE(&out != this);
+  out.reset(1, cols_);
+  double* o = out.data_.data();
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const double* a = data_.data() + r * cols_;
+    for (std::size_t c = 0; c < cols_; ++c) o[c] += a[c];
   }
+}
+
+Matrix Matrix::matmul(const Matrix& other) const {
+  Matrix out;
+  matmul_into(other, out);
   return out;
 }
 
 Matrix Matrix::transposed_matmul(const Matrix& other) const {
-  HETSCHED_REQUIRE(rows_ == other.rows_);
-  Matrix out(cols_, other.cols_);
-  for (std::size_t k = 0; k < rows_; ++k) {
-    for (std::size_t i = 0; i < cols_; ++i) {
-      const double a = at(k, i);
-      if (a == 0.0) continue;
-      for (std::size_t j = 0; j < other.cols_; ++j) {
-        out.at(i, j) += a * other.at(k, j);
-      }
-    }
-  }
+  Matrix out;
+  transposed_matmul_into(other, out);
   return out;
 }
 
 Matrix Matrix::matmul_transposed(const Matrix& other) const {
-  HETSCHED_REQUIRE(cols_ == other.cols_);
-  Matrix out(rows_, other.rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t j = 0; j < other.rows_; ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < cols_; ++k) {
-        acc += at(i, k) * other.at(j, k);
-      }
-      out.at(i, j) = acc;
-    }
-  }
+  Matrix out;
+  matmul_transposed_into(other, out);
+  return out;
+}
+
+Matrix Matrix::column_sums() const {
+  Matrix out;
+  column_sums_into(out);
   return out;
 }
 
@@ -97,10 +160,10 @@ Matrix& Matrix::scale_inplace(double k) {
 
 Matrix& Matrix::add_row_vector(const Matrix& bias) {
   HETSCHED_REQUIRE(bias.rows_ == 1 && bias.cols_ == cols_);
+  const double* b = bias.data_.data();
   for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      at(r, c) += bias.at(0, c);
-    }
+    double* a = data_.data() + r * cols_;
+    for (std::size_t c = 0; c < cols_; ++c) a[c] += b[c];
   }
   return *this;
 }
@@ -111,16 +174,6 @@ Matrix& Matrix::hadamard_inplace(const Matrix& other) {
     data_[i] *= other.data_[i];
   }
   return *this;
-}
-
-Matrix Matrix::column_sums() const {
-  Matrix out(1, cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      out.at(0, c) += at(r, c);
-    }
-  }
-  return out;
 }
 
 double Matrix::frobenius_norm() const {

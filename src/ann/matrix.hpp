@@ -1,6 +1,16 @@
-// Dense row-major matrix for the ANN. The nets are tiny ({10,18,5,1}), so
-// clarity beats blocking/vectorisation tricks; the interface is the
-// minimal set backprop needs.
+// Dense row-major matrix for the ANN, built around four into-buffer
+// kernels (`matmul_into`, `transposed_matmul_into`,
+// `matmul_transposed_into`, `column_sums_into`). Each writes a
+// caller-owned output that `reset` reshapes in place, so a training step
+// that keeps its buffers allocates nothing; the allocating forms
+// (`matmul`, ...) are thin wrappers over the same loops.
+//
+// The kernels fix the floating-point operations: every output element is
+// accumulated from +0.0 over the reduction index in ascending order, one
+// multiply and one add per term, never reassociated. Results are
+// therefore bit-identical whichever form computes them. For the paper
+// topology's layer widths (18, 5, 1) the innermost loop gets a
+// compile-time bound and unrolls; the operations stay the same.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +39,15 @@ class Matrix {
   std::size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }
 
+  // Reshapes to rows x cols with every element 0. Reuses the storage when
+  // it is large enough, so a buffer reset to shapes it has held before
+  // never allocates.
+  void reset(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(rows * cols, 0.0);
+  }
+
   double& at(std::size_t r, std::size_t c) {
     HETSCHED_ASSERT(r < rows_ && c < cols_);
     return data_[r * cols_ + c];
@@ -50,12 +69,19 @@ class Matrix {
   std::span<double> flat() { return data_; }
   std::span<const double> flat() const { return data_; }
 
-  // out = this * other
+  // out = this * other. `out` must not be an operand.
+  void matmul_into(const Matrix& other, Matrix& out) const;
+  // out = this^T * other.
+  void transposed_matmul_into(const Matrix& other, Matrix& out) const;
+  // out = this * other^T.
+  void matmul_transposed_into(const Matrix& other, Matrix& out) const;
+  // Column-wise sum → out (1 x cols). Used for bias gradients.
+  void column_sums_into(Matrix& out) const;
+
   Matrix matmul(const Matrix& other) const;
-  // out = this^T * other
   Matrix transposed_matmul(const Matrix& other) const;
-  // out = this * other^T
   Matrix matmul_transposed(const Matrix& other) const;
+  Matrix column_sums() const;
   Matrix transposed() const;
 
   Matrix& add_inplace(const Matrix& other, double scale = 1.0);
@@ -64,9 +90,6 @@ class Matrix {
   Matrix& add_row_vector(const Matrix& bias);
   // Elementwise product.
   Matrix& hadamard_inplace(const Matrix& other);
-
-  // Column-wise sum → (1 x cols). Used for bias gradients.
-  Matrix column_sums() const;
 
   double frobenius_norm() const;
 

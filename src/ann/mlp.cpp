@@ -1,5 +1,7 @@
 #include "ann/mlp.hpp"
 
+#include <utility>
+
 #include "util/contracts.hpp"
 
 namespace hetsched {
@@ -55,25 +57,27 @@ std::size_t Mlp::parameter_count() const {
   return n;
 }
 
-std::vector<Matrix> Mlp::forward_all(const Matrix& inputs) const {
+const Matrix& Mlp::forward(const Matrix& inputs, Workspace& workspace) const {
   HETSCHED_REQUIRE(inputs.cols() == input_size());
-  std::vector<Matrix> activations;
-  activations.reserve(weights_.size() + 1);
-  activations.push_back(inputs);
+  std::vector<Matrix>& outputs = workspace.outputs_;
+  outputs.resize(weights_.size());
   for (std::size_t l = 0; l < weights_.size(); ++l) {
-    Matrix z = activations.back().matmul(weights_[l]);
+    const Matrix& layer_input = l == 0 ? inputs : outputs[l - 1];
+    Matrix& z = outputs[l];
+    layer_input.matmul_into(weights_[l], z);
     z.add_row_vector(biases_[l]);
     const bool last = l + 1 == weights_.size();
     activate_inplace(last ? config_.output_activation
                           : config_.hidden_activation,
                      z);
-    activations.push_back(std::move(z));
   }
-  return activations;
+  return outputs.back();
 }
 
 Matrix Mlp::predict(const Matrix& inputs) const {
-  return forward_all(inputs).back();
+  Workspace workspace;
+  forward(inputs, workspace);
+  return std::move(workspace.outputs_.back());
 }
 
 std::vector<double> Mlp::predict_one(std::span<const double> input) const {
@@ -87,10 +91,16 @@ std::vector<double> Mlp::predict_one(std::span<const double> input) const {
 }
 
 double Mlp::evaluate_mse(const Matrix& inputs, const Matrix& targets) const {
+  Workspace workspace;
+  return evaluate_mse(inputs, targets, workspace);
+}
+
+double Mlp::evaluate_mse(const Matrix& inputs, const Matrix& targets,
+                         Workspace& workspace) const {
   HETSCHED_REQUIRE(inputs.rows() == targets.rows());
   HETSCHED_REQUIRE(targets.cols() == output_size());
   if (inputs.rows() == 0) return 0.0;
-  const Matrix out = predict(inputs);
+  const Matrix& out = forward(inputs, workspace);
   double acc = 0.0;
   for (std::size_t r = 0; r < out.rows(); ++r) {
     for (std::size_t c = 0; c < out.cols(); ++c) {
@@ -103,38 +113,46 @@ double Mlp::evaluate_mse(const Matrix& inputs, const Matrix& targets) const {
 
 double Mlp::train_batch(const Matrix& inputs, const Matrix& targets,
                         double learning_rate, double momentum) {
+  Workspace workspace;
+  return train_batch(inputs, targets, learning_rate, momentum, workspace);
+}
+
+double Mlp::train_batch(const Matrix& inputs, const Matrix& targets,
+                        double learning_rate, double momentum,
+                        Workspace& workspace) {
   HETSCHED_REQUIRE(inputs.rows() == targets.rows());
   HETSCHED_REQUIRE(inputs.rows() > 0);
   HETSCHED_REQUIRE(targets.cols() == output_size());
   HETSCHED_REQUIRE(learning_rate > 0.0);
   HETSCHED_REQUIRE(momentum >= 0.0 && momentum < 1.0);
 
-  const std::vector<Matrix> acts = forward_all(inputs);
-  const Matrix& output = acts.back();
+  const Matrix& output = forward(inputs, workspace);
   const double n = static_cast<double>(inputs.rows());
 
   // Loss: MSE = mean((out - target)^2); dL/dout = 2 (out - target) / n.
-  double mse = 0.0;
-  Matrix delta = output;
+  Matrix& delta = workspace.delta_;
+  delta = output;
   delta.add_inplace(targets, -1.0);
+  double mse = 0.0;
   for (double v : delta.flat()) mse += v * v;
   mse /= static_cast<double>(output.rows() * output.cols());
   delta.scale_inplace(2.0 / (n * static_cast<double>(output.cols())));
 
   // Backward through the output activation.
-  delta.hadamard_inplace(
-      activation_grad(config_.output_activation, output));
+  multiply_by_activation_grad(config_.output_activation, output, delta);
 
+  Matrix& grad_w = workspace.grad_w_;
+  Matrix& grad_b = workspace.grad_b_;
   for (std::size_t l = weights_.size(); l-- > 0;) {
-    const Matrix& layer_input = acts[l];
-    const Matrix grad_w = layer_input.transposed_matmul(delta);
-    const Matrix grad_b = delta.column_sums();
+    const Matrix& layer_input = l == 0 ? inputs : workspace.outputs_[l - 1];
+    layer_input.transposed_matmul_into(delta, grad_w);
+    delta.column_sums_into(grad_b);
 
-    Matrix next_delta;
+    // The error one layer down, through the weights before this step.
     if (l > 0) {
-      next_delta = delta.matmul_transposed(weights_[l]);
-      next_delta.hadamard_inplace(
-          activation_grad(config_.hidden_activation, acts[l]));
+      delta.matmul_transposed_into(weights_[l], workspace.next_delta_);
+      multiply_by_activation_grad(config_.hidden_activation, layer_input,
+                                  workspace.next_delta_);
     }
 
     velocity_w_[l].scale_inplace(momentum).add_inplace(grad_w,
@@ -144,7 +162,7 @@ double Mlp::train_batch(const Matrix& inputs, const Matrix& targets,
     weights_[l].add_inplace(velocity_w_[l]);
     biases_[l].add_inplace(velocity_b_[l]);
 
-    delta = std::move(next_delta);
+    std::swap(delta, workspace.next_delta_);
   }
   return mse;
 }

@@ -25,6 +25,20 @@ struct MlpConfig {
 
 class Mlp {
  public:
+  // Buffers for one forward/backward pass: every layer's activated output,
+  // the backpropagated error and one layer's gradients. Shaped on first
+  // use and reused after, so a loop that keeps one workspace allocates
+  // nothing per batch.
+  class Workspace {
+   private:
+    friend class Mlp;
+    std::vector<Matrix> outputs_;  // [l]: activated output of layer l
+    Matrix delta_;
+    Matrix next_delta_;
+    Matrix grad_w_;
+    Matrix grad_b_;
+  };
+
   // Weights are Xavier-initialised from `rng` (the paper initialises each
   // bagged net's weights randomly).
   Mlp(MlpConfig config, Rng& rng);
@@ -48,9 +62,15 @@ class Mlp {
   // Returns the batch MSE *before* the update. `momentum` in [0, 1).
   double train_batch(const Matrix& inputs, const Matrix& targets,
                      double learning_rate, double momentum = 0.9);
+  // The same step on reused buffers.
+  double train_batch(const Matrix& inputs, const Matrix& targets,
+                     double learning_rate, double momentum,
+                     Workspace& workspace);
 
   // Mean squared error over a batch without updating weights.
   double evaluate_mse(const Matrix& inputs, const Matrix& targets) const;
+  double evaluate_mse(const Matrix& inputs, const Matrix& targets,
+                      Workspace& workspace) const;
 
   // Introspection for tests and serialisation.
   const std::vector<Matrix>& weights() const { return weights_; }
@@ -59,8 +79,9 @@ class Mlp {
  private:
   Mlp() = default;  // for from_parameters
 
-  // Forward pass retaining every layer's activated output.
-  std::vector<Matrix> forward_all(const Matrix& inputs) const;
+  // Forward pass into the workspace; returns the output layer's
+  // activations (workspace.outputs_.back()).
+  const Matrix& forward(const Matrix& inputs, Workspace& workspace) const;
 
   MlpConfig config_;
   std::vector<Matrix> weights_;   // [l]: sizes[l] x sizes[l+1]

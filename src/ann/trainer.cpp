@@ -1,11 +1,25 @@
 #include "ann/trainer.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <numeric>
 
 #include "util/contracts.hpp"
 
 namespace hetsched {
+namespace {
+
+// Copies rows order[start..end) of `source` into `out`, in that order.
+void gather_rows(const Matrix& source, const std::vector<std::size_t>& order,
+                 std::size_t start, std::size_t end, Matrix& out) {
+  out.reset(end - start, source.cols());
+  for (std::size_t r = start; r < end; ++r) {
+    const std::span<const double> row = source.row(order[r]);
+    std::copy(row.begin(), row.end(), out.row(r - start).begin());
+  }
+}
+
+}  // namespace
 
 Trainer::Trainer(TrainerConfig config) : config_(config) {
   HETSCHED_REQUIRE(config_.max_epochs > 0);
@@ -33,7 +47,17 @@ TrainingReport Trainer::fit(Mlp& net, const Dataset& train,
 
   std::vector<std::size_t> order(train.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
+  report.train_mse_history.reserve(config_.max_epochs);
+  if (use_validation) {
+    report.validation_mse_history.reserve(config_.max_epochs);
+  }
 
+  // Everything a batch needs is allocated once per fit: each batch's rows
+  // are gathered into the same input/target buffers and the net trains on
+  // one workspace.
+  Matrix batch_features;
+  Matrix batch_targets;
+  Mlp::Workspace workspace;
   double lr = config_.learning_rate;
   for (std::size_t epoch = 0; epoch < config_.max_epochs; ++epoch) {
     rng.shuffle(order);
@@ -43,11 +67,10 @@ TrainingReport Trainer::fit(Mlp& net, const Dataset& train,
          start += config_.batch_size) {
       const std::size_t end =
           std::min(order.size(), start + config_.batch_size);
-      const std::vector<std::size_t> batch_idx(order.begin() + start,
-                                               order.begin() + end);
-      const Dataset batch = train.subset(batch_idx);
-      epoch_mse += net.train_batch(batch.features, batch.targets, lr,
-                                   config_.momentum);
+      gather_rows(train.features, order, start, end, batch_features);
+      gather_rows(train.targets, order, start, end, batch_targets);
+      epoch_mse += net.train_batch(batch_features, batch_targets, lr,
+                                   config_.momentum, workspace);
       ++batches;
     }
     epoch_mse /= static_cast<double>(batches);
@@ -57,8 +80,8 @@ TrainingReport Trainer::fit(Mlp& net, const Dataset& train,
     lr *= config_.lr_decay;
 
     if (use_validation) {
-      const double val_mse =
-          net.evaluate_mse(validation.features, validation.targets);
+      const double val_mse = net.evaluate_mse(
+          validation.features, validation.targets, workspace);
       report.validation_mse_history.push_back(val_mse);
       if (val_mse < best_val) {
         best_val = val_mse;

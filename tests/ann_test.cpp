@@ -3,13 +3,18 @@
 // feature selection and metrics.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <span>
 
 #include "ann/bagging.hpp"
 #include "ann/feature_selection.hpp"
 #include "ann/metrics.hpp"
 #include "ann/trainer.hpp"
+#include "util/hash.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hetsched {
 namespace {
@@ -46,6 +51,57 @@ TEST(MatrixTest, TransposedMatmulVariantsAgree) {
     for (std::size_t c = 0; c < d1.cols(); ++c) {
       EXPECT_NEAR(d1.at(r, c), d2.at(r, c), 1e-12);
     }
+  }
+}
+
+// The into-buffer kernels against textbook loops, bit for bit, at the
+// widths that run with a compile-time bound (1, 5, 18) and at one that
+// does not (7), all into one reused output buffer.
+TEST(MatrixTest, IntoKernelsMatchTextbookLoopsBitForBit) {
+  Rng rng(21);
+  Matrix out;
+  for (std::size_t n : {1u, 5u, 7u, 18u}) {
+    Matrix a = Matrix::xavier(8, n, rng);
+    a.at(3, 0) = 0.0;  // takes the kernels' zero-multiplicand skip
+    const Matrix b = Matrix::xavier(n, n + 2, rng);
+    const Matrix c = Matrix::xavier(8, n + 1, rng);
+    const Matrix d = Matrix::xavier(n + 3, n, rng);
+
+    a.matmul_into(b, out);
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      for (std::size_t j = 0; j < b.cols(); ++j) {
+        double acc = 0.0;
+        for (std::size_t k = 0; k < n; ++k) acc += a.at(i, k) * b.at(k, j);
+        EXPECT_EQ(out.at(i, j), acc) << "matmul width " << n;
+      }
+    }
+    a.transposed_matmul_into(c, out);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < c.cols(); ++j) {
+        double acc = 0.0;
+        for (std::size_t k = 0; k < a.rows(); ++k) {
+          acc += a.at(k, i) * c.at(k, j);
+        }
+        EXPECT_EQ(out.at(i, j), acc) << "transposed_matmul width " << n;
+      }
+    }
+    a.matmul_transposed_into(d, out);
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      for (std::size_t j = 0; j < d.rows(); ++j) {
+        double acc = 0.0;
+        for (std::size_t k = 0; k < n; ++k) acc += a.at(i, k) * d.at(j, k);
+        EXPECT_EQ(out.at(i, j), acc) << "matmul_transposed width " << n;
+      }
+    }
+    a.column_sums_into(out);
+    ASSERT_EQ(out.rows(), 1u);
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (std::size_t r = 0; r < a.rows(); ++r) acc += a.at(r, j);
+      EXPECT_EQ(out.at(0, j), acc) << "column_sums width " << n;
+    }
+    a.matmul_into(b, out);
+    EXPECT_EQ(out, a.matmul(b));
   }
 }
 
@@ -402,6 +458,96 @@ TEST(BaggingTest, MembersDifferFromEachOther) {
   std::set<double> distinct(outs.begin(), outs.end());
   EXPECT_GT(distinct.size(), 1u)
       << "random init + bootstrap must decorrelate members";
+}
+
+void hash_values(Fnv1a& hash, std::span<const double> values) {
+  for (double v : values) hash.update_value(std::bit_cast<std::uint64_t>(v));
+}
+
+void hash_parameters(Fnv1a& hash, const Mlp& net) {
+  for (const Matrix& w : net.weights()) hash_values(hash, w.flat());
+  for (const Matrix& b : net.biases()) hash_values(hash, b.flat());
+}
+
+// Fixed synthetic regression rows: 10 features in [-1.5, 1.5], a
+// quadratic target.
+Dataset synthetic_rows(std::size_t rows, std::uint64_t seed) {
+  std::vector<std::vector<double>> xs, ys;
+  Rng data_rng(seed);
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::vector<double> x(10);
+    double y = 0.0;
+    for (std::size_t f = 0; f < x.size(); ++f) {
+      x[f] = data_rng.uniform(-1.5, 1.5);
+      y += (f % 2 == 0 ? 0.3 : -0.2) * x[f] * x[f % 3];
+    }
+    xs.push_back(x);
+    ys.push_back({y});
+  }
+  Dataset data;
+  data.features = Matrix::from_rows(xs);
+  data.targets = Matrix::from_rows(ys);
+  return data;
+}
+
+// FNV-1a over the bit patterns of every member's weights and biases, then
+// of the ensemble's predictions on the training rows.
+std::uint64_t ensemble_digest(const BaggedEnsemble& ensemble,
+                              const Matrix& inputs) {
+  Fnv1a hash;
+  for (std::size_t i = 0; i < ensemble.size(); ++i) {
+    hash_parameters(hash, ensemble.member(i));
+  }
+  hash_values(hash, ensemble.predict(inputs).flat());
+  return hash.digest();
+}
+
+// Training is pinned bit for bit: the paper topology on a fixed synthetic
+// set whose 37 rows leave a short last batch (37 = 4 x 8 + 5). The digest
+// was captured before the training kernel was made allocation-free; any
+// change to the floating-point operations or their order moves it. Every
+// member trains on its own stream, so the pool size must not matter.
+TEST(BaggingTest, PinnedTrainingIsBitIdenticalAtEveryPoolSize) {
+  constexpr std::uint64_t kPinnedDigest = 0x8a13e1a452618befull;
+  const Dataset train = synthetic_rows(37, 16);
+  ASSERT_NE(train.size() % TrainerConfig{}.batch_size, 0u);
+
+  BaggingConfig config;
+  config.ensemble_size = 6;
+  config.net.layer_sizes = {10, 18, 5, 1};
+  config.trainer.max_epochs = 300;
+  for (std::size_t threads : {1u, 4u}) {
+    ThreadPool::set_global_threads(threads);
+    Rng rng(17);
+    const BaggedEnsemble ensemble(config, train, Dataset{}, rng);
+    EXPECT_EQ(ensemble_digest(ensemble, train.features), kPinnedDigest)
+        << "at " << threads << " pool threads: 0x" << std::hex
+        << ensemble_digest(ensemble, train.features);
+  }
+  ThreadPool::set_global_threads(ThreadPool::default_threads());
+}
+
+// The early-stopping path pinned the same way: per-epoch validation MSEs
+// and the restored best-validation weights.
+TEST(TrainerTest, PinnedEarlyStoppingFitIsBitIdentical) {
+  constexpr std::uint64_t kPinnedDigest = 0xa2d017e966f02a8dull;
+  const Dataset train = synthetic_rows(29, 18);
+  const Dataset validation = synthetic_rows(11, 19);
+  TrainerConfig config;
+  config.max_epochs = 400;
+  config.patience = 25;
+  Rng rng(20);
+  Mlp net(MlpConfig{{10, 18, 5, 1}}, rng);
+  const TrainingReport report =
+      Trainer(config).fit(net, train, validation, rng);
+  Fnv1a hash;
+  hash.update_value(report.epochs_run);
+  hash_values(hash, report.train_mse_history);
+  hash_values(hash, report.validation_mse_history);
+  hash_parameters(hash, net);
+  EXPECT_EQ(hash.digest(), kPinnedDigest)
+      << "0x" << std::hex << hash.digest() << std::dec << " after "
+      << report.epochs_run << " epochs";
 }
 
 TEST(MetricsTest, RegressionMetrics) {

@@ -31,6 +31,17 @@
 #       metrics equal tests/cli/compare.metrics.json (as do those of a
 #       --metrics-out run without a trace at --threads 4), the trace
 #       hashes to kCompareTraceSha256
+#   train_snapshot
+#       `train --scale 0.25 --save` writes a predictor snapshot whose
+#       SHA-256 is kTrainSnapshotSha256 at --threads 1 and 4: ANN training
+#       is pinned bit for bit
+#   halt_needs_checkpoint
+#       `scenario --halt-after-checkpoints N` without --checkpoint-out is a
+#       usage error (exit 2): it would halt with nothing to resume from
+#   foreign_flags
+#       a flag that the chosen command never reads is a usage error
+#       (exit 2): the sweep-only flags off `sweep`, the checkpoint flags
+#       off `scenario`
 cmake_minimum_required(VERSION 3.20)
 
 set(scenarios "${SOURCE_DIR}/examples/scenarios")
@@ -149,6 +160,37 @@ elseif(CASE STREQUAL "compare_observed")
           --metrics-out "${WORK_DIR}/counters.json")
   expect_same("${WORK_DIR}/counters.json"
               "${SOURCE_DIR}/tests/cli/compare.metrics.json")
+elseif(CASE STREQUAL "train_snapshot")
+  set(kTrainSnapshotSha256
+      f4f1660f82abcf714a5109666805f6ffc433971bcbcd74dc99e7b9341c8020b7)
+  foreach(threads 1 4)
+    set(out "${WORK_DIR}/t${threads}.predictor.txt")
+    run_cli(train --scale 0.25 --threads ${threads} --save "${out}")
+    file(SHA256 "${out}" digest)
+    if(NOT digest STREQUAL "${kTrainSnapshotSha256}")
+      message(FATAL_ERROR "${out} hashes to ${digest}")
+    endif()
+  endforeach()
+elseif(CASE STREQUAL "halt_needs_checkpoint")
+  set(scn "${scenarios}/portfolio_smoke.scn")
+  expect_exit(2 scenario --file "${scn}" --halt-after-checkpoints 1)
+  expect_exit(3 scenario --file "${scn}" --halt-after-checkpoints 1
+              --checkpoint-out "${WORK_DIR}/run.ckpt")
+elseif(CASE STREQUAL "foreign_flags")
+  set(scn "${scenarios}/streaming_smoke.scn")
+  foreach(flag_value "--manifest-out;m.txt" "--cell-timeout-ms;5"
+                     "--cell-retries;2" "--cell-backoff-ms;1")
+    expect_exit(2 scenario --file "${scn}" ${flag_value})
+    expect_exit(2 compare --arrivals 10 ${flag_value})
+  endforeach()
+  foreach(flag_value "--checkpoint-out;run.ckpt" "--checkpoint-every;2"
+                     "--halt-after-checkpoints;1")
+    expect_exit(2 sweep --file "${scn}" ${flag_value})
+    expect_exit(2 run --arrivals 10 ${flag_value})
+  endforeach()
+  if(EXISTS "${WORK_DIR}/m.txt" OR EXISTS "${WORK_DIR}/run.ckpt")
+    message(FATAL_ERROR "a refused command wrote its output")
+  endif()
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()

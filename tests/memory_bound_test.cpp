@@ -1,6 +1,7 @@
 // Resource bounds asserted instead of read off a bench row: building a
 // streaming run allocates the same heap high-water mark whatever the job
-// count. The binary replaces the global operator new/delete with a
+// count, and training an ANN makes the same number of heap allocations
+// whatever the epoch count. The binary replaces the global operator new/delete with a
 // counting hook, so these tests live apart from every other suite
 // (ctest label: unit).
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "ann/trainer.hpp"
 #include "obs/sim_counters.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "util/thread_pool.hpp"
@@ -21,6 +23,7 @@ namespace {
 // otherwise identical runs.
 std::atomic<std::size_t> g_live_bytes{0};
 std::atomic<std::size_t> g_peak_bytes{0};
+std::atomic<std::size_t> g_allocations{0};
 
 // Each block carries its requested size in a header that keeps the
 // returned pointer maximally aligned.
@@ -30,6 +33,7 @@ void* counted_alloc(std::size_t bytes) {
   void* block = std::malloc(bytes + kHeader);
   if (block == nullptr) throw std::bad_alloc();
   *static_cast<std::size_t*>(block) = bytes;
+  ++g_allocations;
   const std::size_t live = g_live_bytes += bytes;
   std::size_t peak = g_peak_bytes.load();
   while (live > peak && !g_peak_bytes.compare_exchange_weak(peak, live)) {
@@ -125,6 +129,48 @@ TEST(BoundedMemory, CountedRunIsFlatInTheJobCount) {
   EXPECT_LE(large, small + kSlackBytes)
       << "a 200k-job counted run peaked " << large - small
       << " heap bytes above a 20k-job one";
+}
+
+// Heap allocations made by one Trainer::fit of the paper topology over
+// `epochs` epochs of a 37-row set (four full batches of 8 and a short
+// one), optionally watching a validation set for early stopping.
+std::size_t fit_allocations(std::size_t epochs, bool validate) {
+  Rng rng(5);
+  auto rows = [&](std::size_t n) {
+    Dataset data;
+    data.features = Matrix(n, 10);
+    data.targets = Matrix(n, 1);
+    for (double& v : data.features.flat()) v = rng.uniform(-1.0, 1.0);
+    for (double& v : data.targets.flat()) v = rng.uniform(0.0, 3.0);
+    return data;
+  };
+  const Dataset train = rows(37);
+  const Dataset validation = validate ? rows(11) : Dataset{};
+  TrainerConfig config;
+  config.max_epochs = epochs;
+  // Never runs out of patience, so every epoch is trained.
+  config.patience = validate ? epochs + 1 : 0;
+  const Trainer trainer(config);
+  Mlp net(MlpConfig{{10, 18, 5, 1}}, rng);
+  const std::size_t before = g_allocations.load();
+  const TrainingReport report = trainer.fit(net, train, validation, rng);
+  const std::size_t made = g_allocations.load() - before;
+  EXPECT_EQ(report.epochs_run, epochs);
+  return made;
+}
+
+// Bagging trains 30 nets for 1200 epochs each, tens of thousands of
+// mini-batches per net: fit gathers every batch into the same buffers and
+// trains on one workspace, so no allocation is made per batch or epoch.
+TEST(BoundedMemory, TrainerFitAllocationsAreFlatInTheEpochCount) {
+  for (const bool validate : {false, true}) {
+    const std::size_t few = fit_allocations(5, validate);
+    const std::size_t many = fit_allocations(200, validate);
+    EXPECT_GT(few, 0u);
+    EXPECT_EQ(many, few) << (validate ? "with" : "without")
+                         << " validation: 200 epochs made " << many
+                         << " heap allocations, 5 epochs " << few;
+  }
 }
 
 }  // namespace

@@ -41,7 +41,14 @@
 //       metric-by-metric diff of two run reports; exits non-zero when a
 //       classified metric regressed beyond the tolerance
 //
-// Common options:
+// Options. A flag that the chosen command never reads is refused (exit
+// 2, naming the flag and the command); commands_reading() lists the
+// commands of each. The flag-built scenario (--arrivals, --gap, --cores,
+// --discipline, --slack, --load, the fault flags) is read by run and
+// compare, --seed also by train, --scale also by train and characterize;
+// --profile-cache by every simulating command; the report and windows
+// flags by run, scenario and sweep; --threads and the observability
+// outputs (--trace-out, --metrics-out, --max-trace-events) by all.
 //   --arrivals N         number of jobs              (default 5000)
 //   --gap CYCLES         mean inter-arrival gap      (default 55000)
 //   --seed N             experiment seed             (default 42)
@@ -86,7 +93,8 @@
 //                        bit-identical to the uninterrupted run
 //   --halt-after-checkpoints N
 //                        stop (exit 3) after writing N checkpoints —
-//                        a deterministic stand-in for a crash
+//                        a deterministic stand-in for a crash; needs
+//                        --checkpoint-out (exit 2 without it)
 //
 // Sweep supervision (sweep). Every sweep runs under the same supervisor;
 // the defaults run each cell once without a deadline, and a cell that
@@ -101,6 +109,7 @@
 // both are refused (exit 2) with --resume-from and with --cell-retries
 // above 1; --trace-out is refused with every checkpoint flag as well
 // (trace buffers are not part of the checkpointed state).
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -108,11 +117,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/policy_registry.hpp"
@@ -282,30 +293,41 @@ struct ObsSession {
       "                    [--windows FILE.jsonl] [--top N] [--out FILE]\n"
       "       hetsched_cli analyze --diff BASELINE.json CURRENT.json\n"
       "                    [--tolerance X] [--out FILE]\n"
-      "  --system S      base|optimal|energy-centric|proposed|realtime|\n"
-      "                  sjf|energy-greedy|random|oracle|cp-aware|\n"
+      "A flag that the command does not read is refused (exit 2); the\n"
+      "commands that read a flag are named in parentheses, and a flag\n"
+      "without them is read by every command.\n"
+      "  --system S      (run) base|optimal|energy-centric|proposed|\n"
+      "                  realtime|sjf|energy-greedy|random|oracle|\n"
+      "                  cp-aware|\n"
       "                  portfolio:<a>+<b>[@cycles] (competitive\n"
       "                  meta-scheduler over the named contenders)\n"
-      "  --arrivals N    jobs in the stream (default 5000)\n"
-      "  --gap CYCLES    mean inter-arrival gap (default 55000)\n"
-      "  --seed N        experiment seed (default 42)\n"
-      "  --cores N       cores per simulated system (default 4; 4 = the\n"
-      "                  paper machines, otherwise the scaled layout)\n"
-      "  --scale X       kernel working-set scale (default 1.0)\n"
-      "  --discipline D  fifo|edf|priority ready-queue order\n"
-      "  --slack X       assign deadlines = arrival + X*base cycles\n"
+      "  --arrivals N    (run/compare) jobs in the stream (default 5000)\n"
+      "  --gap CYCLES    (run/compare) mean inter-arrival gap (default\n"
+      "                  55000)\n"
+      "  --seed N        (run/compare/train) experiment seed (default 42)\n"
+      "  --cores N       (run/compare) cores per simulated system\n"
+      "                  (default 4; 4 = the paper machines, otherwise\n"
+      "                  the scaled layout)\n"
+      "  --scale X       (run/compare/train/characterize) kernel\n"
+      "                  working-set scale (default 1.0)\n"
+      "  --discipline D  (run/compare) fifo|edf|priority ready-queue\n"
+      "                  order\n"
+      "  --slack X       (run/compare) assign deadlines = arrival +\n"
+      "                  X*base cycles\n"
       "  --kernel NAME   (characterize) single-kernel sweep\n"
       "  --save FILE     (train) persist the predictor snapshot\n"
-      "  --load FILE     use a saved predictor snapshot\n"
+      "  --load FILE     (run/compare) use a saved predictor snapshot\n"
       "  --threads N     worker threads (default: HETSCHED_THREADS or all\n"
       "                  hardware threads)\n"
       "  --profile-cache FILE\n"
+      "                  (run/compare/train/characterize/scenario/sweep)\n"
       "                  persistent characterisation snapshot to load or\n"
       "                  refresh\n"
-      "  --fault-plan F  inject faults from a fault-plan file\n"
-      "  --fault-rate P  uniform rate in [0,1] for reconfig failures,\n"
-      "                  stuck jobs and counter corruption\n"
-      "  --fault-seed N  fault-decision seed (default 1)\n"
+      "  --fault-plan F  (run/compare) inject faults from a fault-plan\n"
+      "                  file\n"
+      "  --fault-rate P  (run/compare) uniform rate in [0,1] for reconfig\n"
+      "                  failures, stuck jobs and counter corruption\n"
+      "  --fault-seed N  (run/compare) fault-decision seed (default 1)\n"
       "  --trace-out F   write a Chrome-trace/Perfetto JSON (ts in\n"
       "                  simulated cycles; open in ui.perfetto.dev);\n"
       "                  refused with the checkpoint flags and with\n"
@@ -316,14 +338,17 @@ struct ObsSession {
       "  --max-trace-events N\n"
       "                  retain at most N --trace-out events per tracer\n"
       "                  (0 = unlimited; default 1000000)\n"
-      "  --windows-out F write per-window telemetry JSONL (run/scenario/\n"
-      "                  sweep; one line per closed tumbling window)\n"
+      "  --windows-out F (run/scenario/sweep) write per-window telemetry\n"
+      "                  JSONL (one line per closed tumbling window)\n"
       "  --window-cycles N\n"
-      "                  window width in simulated cycles (default 1e6)\n"
-      "  --report-out F  write the unified run-report JSON\n"
+      "                  (run/scenario/sweep) window width in simulated\n"
+      "                  cycles (default 1e6)\n"
+      "  --report-out F  (run/scenario/sweep) write the unified run-report\n"
+      "                  JSON\n"
       "  --report-deterministic\n"
-      "                  emit the report with empty phases_ms so identical\n"
-      "                  runs produce byte-identical reports\n"
+      "                  (run/scenario/sweep) emit the report with empty\n"
+      "                  phases_ms so identical runs produce\n"
+      "                  byte-identical reports\n"
       "  --checkpoint-out F\n"
       "                  (scenario) write a resumable checkpoint atomically\n"
       "                  at every stride boundary\n"
@@ -332,8 +357,9 @@ struct ObsSession {
       "  --resume-from F (scenario) resume from a checkpoint file;\n"
       "                  (sweep) resume from a shard manifest\n"
       "  --halt-after-checkpoints N\n"
-      "                  (scenario) stop with exit 3 after N checkpoints,\n"
-      "                  simulating a crash deterministically\n"
+      "                  (scenario, with --checkpoint-out) stop with exit\n"
+      "                  3 after N checkpoints, simulating a crash\n"
+      "                  deterministically\n"
       "  --cell-timeout-ms N\n"
       "                  (sweep) wall-clock budget per cell attempt\n"
       "  --cell-retries N\n"
@@ -421,16 +447,87 @@ QueueDiscipline parse_discipline(const std::string& name) {
   usage("unknown discipline " + name);
 }
 
+// The commands that read each command-specific flag, space-separated. A
+// flag given to any other command would be silently ignored (`scenario
+// --manifest-out m.txt` used to exit 0 and write no manifest), so parse
+// refuses it. Flags not listed (--threads and the observability outputs
+// --trace-out, --metrics-out, --max-trace-events, --trace-spans) are read
+// by every command.
+std::string_view commands_reading(std::string_view flag) {
+  static const std::map<std::string_view, std::string_view> kScopes = {
+      {"--system", "run"},
+      {"--arrivals", "run compare"},
+      {"--gap", "run compare"},
+      {"--cores", "run compare"},
+      {"--discipline", "run compare"},
+      {"--slack", "run compare"},
+      {"--load", "run compare"},
+      {"--fault-plan", "run compare"},
+      {"--fault-rate", "run compare"},
+      {"--fault-seed", "run compare"},
+      {"--seed", "run compare train"},
+      {"--scale", "run compare train characterize"},
+      {"--kernel", "characterize"},
+      {"--save", "train"},
+      {"--profile-cache", "run compare train characterize scenario sweep"},
+      {"--windows-out", "run scenario sweep"},
+      {"--window-cycles", "run scenario sweep"},
+      {"--report-out", "run scenario sweep"},
+      {"--report-deterministic", "run scenario sweep"},
+      {"--file", "scenario sweep"},
+      {"--resume-from", "scenario sweep"},
+      {"--checkpoint-out", "scenario"},
+      {"--checkpoint-every", "scenario"},
+      {"--halt-after-checkpoints", "scenario"},
+      {"--sweep-cores", "sweep"},
+      {"--sweep-gaps", "sweep"},
+      {"--sweep-policies", "sweep"},
+      {"--shards", "sweep"},
+      {"--cell-timeout-ms", "sweep"},
+      {"--cell-retries", "sweep"},
+      {"--cell-backoff-ms", "sweep"},
+      {"--manifest-out", "sweep"},
+      {"--tolerance", "bench-diff analyze"},
+      {"--report", "analyze"},
+      {"--windows", "analyze"},
+      {"--out", "analyze"},
+      {"--top", "analyze"},
+      {"--diff", "analyze"},
+  };
+  const auto it = kScopes.find(flag);
+  return it == kScopes.end() ? std::string_view{} : it->second;
+}
+
+// True when the space-separated `list` contains `word`.
+bool lists(std::string_view list, std::string_view word) {
+  while (!list.empty()) {
+    const std::size_t end = std::min(list.find(' '), list.size());
+    if (list.substr(0, end) == word) return true;
+    list.remove_prefix(std::min(end + 1, list.size()));
+  }
+  return false;
+}
+
 CliOptions parse(int argc, char** argv) {
   if (argc < 2) usage();
   CliOptions options;
   options.command = argv[1];
+  if (!lists("compare run characterize train scenario sweep bench-diff "
+             "analyze",
+             options.command)) {
+    usage("unknown command " + options.command);
+  }
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> std::string {
       if (i + 1 >= argc) usage("missing value for " + flag);
       return argv[++i];
     };
+    const std::string_view scope = commands_reading(flag);
+    if (!scope.empty() && !lists(scope, options.command)) {
+      usage(flag + " is not read by " + options.command + " (only by " +
+            std::string(scope) + ")");
+    }
     if (flag == "--system") {
       options.system = next();
     } else if (flag == "--arrivals") {
@@ -500,17 +597,17 @@ CliOptions parse(int argc, char** argv) {
           static_cast<std::size_t>(parse_count(flag, next(), 0));
     } else if (flag == "--tolerance") {
       options.tolerance = parse_real(flag, next(), 0.0, 1e6);
-    } else if (flag == "--report" && options.command == "analyze") {
+    } else if (flag == "--report") {
       options.analyze_report_path = next();
       if (options.analyze_report_path.empty()) {
         usage(flag + " expects a file path");
       }
-    } else if (flag == "--windows" && options.command == "analyze") {
+    } else if (flag == "--windows") {
       options.analyze_windows_path = next();
       if (options.analyze_windows_path.empty()) {
         usage(flag + " expects a file path");
       }
-    } else if (flag == "--out" && options.command == "analyze") {
+    } else if (flag == "--out") {
       options.analyze_out_path = next();
       if (options.analyze_out_path.empty()) {
         usage(flag + " expects a file path");
@@ -577,6 +674,12 @@ CliOptions parse(int argc, char** argv) {
       window_interval_error(options.window_cycles, options.checkpoint_every);
   if (!interval_error.empty()) {
     usage("--window-cycles/--checkpoint-every: " + interval_error);
+  }
+  // A halted run must leave a checkpoint to resume from.
+  if (options.halt_after_checkpoints > 0 &&
+      options.checkpoint_out_path.empty()) {
+    usage("--halt-after-checkpoints requires --checkpoint-out (a halted "
+          "run must leave a checkpoint to resume from)");
   }
   // Trace buffers are not part of the checkpointed state, so a resumed
   // trace could never match.
