@@ -1,5 +1,6 @@
 #include "ann/bagging.hpp"
 
+#include <algorithm>
 #include <optional>
 
 #include "util/contracts.hpp"
@@ -65,21 +66,31 @@ Matrix BaggedEnsemble::predict(const Matrix& inputs) const {
 
 std::vector<double> BaggedEnsemble::predict_one(
     std::span<const double> input) const {
-  std::vector<double> acc(members_.front().output_size(), 0.0);
-  for (const Mlp& net : members_) {
-    const std::vector<double> out = net.predict_one(input);
-    for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += out[i];
-  }
-  for (double& v : acc) v /= static_cast<double>(members_.size());
+  std::vector<double> acc(members_.front().output_size());
+  Mlp::Workspace workspace;
+  predict_one(input, acc, workspace);
   return acc;
+}
+
+void BaggedEnsemble::predict_one(std::span<const double> input,
+                                 std::span<double> out,
+                                 Mlp::Workspace& workspace) const {
+  HETSCHED_REQUIRE(out.size() == members_.front().output_size());
+  std::fill(out.begin(), out.end(), 0.0);
+  for (const Mlp& net : members_) {
+    const std::span<const double> member = net.predict_one(input, workspace);
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] += member[i];
+  }
+  for (double& v : out) v /= static_cast<double>(members_.size());
 }
 
 std::vector<double> BaggedEnsemble::member_outputs(
     std::span<const double> input) const {
   std::vector<double> outs;
   outs.reserve(members_.size());
+  Mlp::Workspace workspace;
   for (const Mlp& net : members_) {
-    outs.push_back(net.predict_one(input).front());
+    outs.push_back(net.predict_one(input, workspace).front());
   }
   return outs;
 }

@@ -35,6 +35,12 @@ class BaggedEnsemble {
   // Mean of the member outputs.
   Matrix predict(const Matrix& inputs) const;
   std::vector<double> predict_one(std::span<const double> input) const;
+  // The same mean into `out` (output_size values) on reused buffers.
+  // Allocates nothing once `workspace` has served this ensemble. The
+  // workspace belongs to the caller: concurrent predictions on one shared
+  // ensemble each bring their own.
+  void predict_one(std::span<const double> input, std::span<double> out,
+                   Mlp::Workspace& workspace) const;
 
   // Per-member outputs for one input (spread diagnostics).
   std::vector<double> member_outputs(std::span<const double> input) const;

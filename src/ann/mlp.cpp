@@ -1,5 +1,6 @@
 #include "ann/mlp.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -81,13 +82,18 @@ Matrix Mlp::predict(const Matrix& inputs) const {
 }
 
 std::vector<double> Mlp::predict_one(std::span<const double> input) const {
+  Workspace workspace;
+  const std::span<const double> out = predict_one(input, workspace);
+  return std::vector<double>(out.begin(), out.end());
+}
+
+std::span<const double> Mlp::predict_one(std::span<const double> input,
+                                         Workspace& workspace) const {
   HETSCHED_REQUIRE(input.size() == input_size());
-  Matrix m(1, input.size());
-  for (std::size_t c = 0; c < input.size(); ++c) {
-    m.at(0, c) = input[c];
-  }
-  const Matrix out = predict(m);
-  return std::vector<double>(out.row(0).begin(), out.row(0).end());
+  Matrix& row = workspace.input_;
+  row.reset(1, input.size());
+  std::copy(input.begin(), input.end(), row.flat().begin());
+  return forward(row, workspace).row(0);
 }
 
 double Mlp::evaluate_mse(const Matrix& inputs, const Matrix& targets) const {

@@ -32,6 +32,7 @@ class Mlp {
   class Workspace {
    private:
     friend class Mlp;
+    Matrix input_;                 // one-row input of predict_one
     std::vector<Matrix> outputs_;  // [l]: activated output of layer l
     Matrix delta_;
     Matrix next_delta_;
@@ -57,6 +58,11 @@ class Mlp {
   Matrix predict(const Matrix& inputs) const;
   // Single-sample convenience.
   std::vector<double> predict_one(std::span<const double> input) const;
+  // The same prediction on reused buffers: returns the output row, valid
+  // until `workspace` is used again. Allocates nothing once `workspace`
+  // has served a net of the same shape.
+  std::span<const double> predict_one(std::span<const double> input,
+                                      Workspace& workspace) const;
 
   // One gradient step on (inputs, targets) with mean-squared-error loss.
   // Returns the batch MSE *before* the update. `momentum` in [0, 1).

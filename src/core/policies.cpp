@@ -1,6 +1,7 @@
 #include "core/policies.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <istream>
 #include <limits>
@@ -252,18 +253,53 @@ Decision predicted_decide(const Job& job, SystemView& view,
     return run_with_heuristic(best_idle, best_size, entry);
   }
 
-  // Best core(s) busy. If some idle core's best configuration for this
-  // application is unknown, the scheduler cannot evaluate the energy
-  // tradeoff — schedule to such a core (arbitrarily: the first) to gather
-  // design-space information (Section IV.E).
+  // Best core(s) busy: one pass over the idle cores. If some idle core's
+  // best configuration for this application is unknown, the scheduler
+  // cannot evaluate the energy tradeoff — schedule to such a core
+  // (arbitrarily: the first) to gather design-space information (Section
+  // IV.E). Otherwise every idle core is a candidate for the energy
+  // evaluation, with its size's best-known configuration. Idle cores
+  // share a handful of sizes, so each size's walk is taken once.
   HETSCHED_ASSERT(view.any_idle());
+  struct SizeWalk {
+    std::uint32_t size = 0;
+    TuningHeuristic::WalkState state;
+    const Observation* best_obs = nullptr;
+  };
+  std::array<SizeWalk, 3> walks;  // DesignSpace::sizes(): 2, 4 and 8KB
+  std::size_t walked = 0;
+  auto walk_for = [&](std::uint32_t size) -> const SizeWalk& {
+    for (std::size_t i = 0; i < walked; ++i) {
+      if (walks[i].size == size) return walks[i];
+    }
+    HETSCHED_ASSERT(walked < walks.size());
+    SizeWalk& fresh = walks[walked++];
+    fresh.size = size;
+    fresh.state = TuningHeuristic::walk(entry, size);
+    if (!fresh.state.next.has_value()) {
+      fresh.best_obs = entry.find(fresh.state.best);
+      HETSCHED_ASSERT(fresh.best_obs != nullptr);
+    }
+    return fresh;
+  };
+
+  // `scratch` is a policy-lifetime buffer: clear() keeps its capacity,
+  // so the evaluation allocates nothing per decision in steady state.
+  EnergyAdvantageInput& input = scratch;
+  input.candidates.clear();
   std::optional<Decision> explore;
   view.for_each_idle([&](std::size_t core) {
-    const std::uint32_t size = view.core(core).spec.cache_size_bytes;
-    if (!TuningHeuristic::complete(entry, size)) {
-      explore = run_with_heuristic(core, size, entry);
+    const SizeWalk& walk = walk_for(view.core(core).spec.cache_size_bytes);
+    if (walk.state.next.has_value()) {
+      explore = Decision::run(core, *walk.state.next, ExecutionKind::kTuning);
       return true;
     }
+    EnergyAdvantageInput::Candidate candidate;
+    candidate.core = core;
+    candidate.run_energy = walk.best_obs->total_energy;
+    candidate.idle_energy_per_cycle =
+        view.energy().idle_per_cycle(view.core(core).current_config);
+    input.candidates.push_back(candidate);
     return false;
   });
   if (explore.has_value()) return *explore;
@@ -277,13 +313,7 @@ Decision predicted_decide(const Job& job, SystemView& view,
   if (best_walk.next.has_value()) {
     return Decision::stall();
   }
-
-  // `scratch` is a policy-lifetime buffer: clear() keeps its capacity,
-  // so the evaluation allocates nothing per decision in steady state.
-  EnergyAdvantageInput& input = scratch;
-  input.candidates.clear();
-  const CacheConfig best_config = best_walk.best;
-  const Observation* best_obs = entry.find(best_config);
+  const Observation* best_obs = entry.find(best_walk.best);
   HETSCHED_ASSERT(best_obs != nullptr);
   input.energy_on_best = best_obs->total_energy;
 
@@ -308,26 +338,11 @@ Decision predicted_decide(const Job& job, SystemView& view,
           ? kMaxWait
           : wait * stall_cost_multiplier;
 
-  view.for_each_idle([&](std::size_t core) {
-    const std::uint32_t size = view.core(core).spec.cache_size_bytes;
-    const CacheConfig config = TuningHeuristic::best_known(entry, size);
-    const Observation* obs = entry.find(config);
-    HETSCHED_ASSERT(obs != nullptr);
-    EnergyAdvantageInput::Candidate candidate;
-    candidate.core = core;
-    candidate.run_energy = obs->total_energy;
-    candidate.idle_energy_per_cycle =
-        view.energy().idle_per_cycle(view.core(core).current_config);
-    input.candidates.push_back(candidate);
-    return false;
-  });
-
   const EnergyAdvantageResult advantage = evaluate_energy_advantage(input);
   if (advantage.run_on_non_best) {
-    const std::uint32_t size =
-        view.core(advantage.chosen_core).spec.cache_size_bytes;
-    return Decision::run(advantage.chosen_core,
-                         TuningHeuristic::best_known(entry, size),
+    const SizeWalk& walk =
+        walk_for(view.core(advantage.chosen_core).spec.cache_size_bytes);
+    return Decision::run(advantage.chosen_core, walk.state.best,
                          ExecutionKind::kNormal);
   }
   return Decision::stall();

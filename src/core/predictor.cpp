@@ -77,7 +77,10 @@ double BestSizePredictor::predict_raw(
   }
   const std::vector<double> projected = selected_.project_row(raw);
   const std::vector<double> scaled = scaler_.transform_row(projected);
-  return ensemble_->predict_one(scaled).front();
+  double predicted = 0.0;
+  Mlp::Workspace workspace;
+  ensemble_->predict_one(scaled, {&predicted, 1}, workspace);
+  return predicted;
 }
 
 std::uint32_t BestSizePredictor::predict_size_bytes(

@@ -189,8 +189,9 @@ double PredictorSnapshot::predict_raw(
   const std::vector<double> projected = selected_.project_row(raw);
   const std::vector<double> scaled = scaler_.transform_row(projected);
   double sum = 0.0;
+  Mlp::Workspace workspace;
   for (const Mlp& net : members_) {
-    sum += net.predict_one(scaled).front();
+    sum += net.predict_one(scaled, workspace).front();
   }
   return sum / static_cast<double>(members_.size());
 }

@@ -1,7 +1,8 @@
 // Resource bounds asserted instead of read off a bench row: building a
 // streaming run allocates the same heap high-water mark whatever the job
-// count, and training an ANN makes the same number of heap allocations
-// whatever the epoch count. The binary replaces the global operator new/delete with a
+// count, training an ANN makes the same number of heap allocations
+// whatever the epoch count, and a bagged prediction on a reused workspace
+// makes none. The binary replaces the global operator new/delete with a
 // counting hook, so these tests live apart from every other suite
 // (ctest label: unit).
 #include <gtest/gtest.h>
@@ -10,7 +11,9 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "ann/bagging.hpp"
 #include "ann/trainer.hpp"
 #include "obs/sim_counters.hpp"
 #include "scenario/scenario_runner.hpp"
@@ -170,6 +173,42 @@ TEST(BoundedMemory, TrainerFitAllocationsAreFlatInTheEpochCount) {
     EXPECT_EQ(many, few) << (validate ? "with" : "without")
                          << " validation: 200 epochs made " << many
                          << " heap allocations, 5 epochs " << few;
+  }
+}
+
+// Every on_profiled decision of a predicted policy asks the bagged
+// ensemble for one prediction. With a caller-owned workspace, the loop
+// over its members allocates nothing, and each result is the allocating
+// form's, bit for bit.
+TEST(BoundedMemory, EnsemblePredictionMakesNoAllocation) {
+  Rng rng(9);
+  Dataset train;
+  train.features = Matrix(23, 10);
+  train.targets = Matrix(23, 1);
+  for (double& v : train.features.flat()) v = rng.uniform(-1.0, 1.0);
+  for (double& v : train.targets.flat()) v = rng.uniform(0.0, 3.0);
+  BaggingConfig config;
+  config.ensemble_size = 7;
+  config.net.layer_sizes = {10, 18, 5, 1};
+  config.trainer.max_epochs = 3;
+  const BaggedEnsemble ensemble(config, train, Dataset{}, rng);
+
+  constexpr std::size_t kRows = 23;
+  std::vector<double> predicted(kRows);
+  Mlp::Workspace workspace;
+  ensemble.predict_one(train.features.row(0), {&predicted[0], 1},
+                       workspace);  // shapes the workspace
+  const std::size_t before = g_allocations.load();
+  for (std::size_t r = 0; r < kRows; ++r) {
+    ensemble.predict_one(train.features.row(r), {&predicted[r], 1},
+                         workspace);
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u)
+      << kRows << " predictions of a " << config.ensemble_size
+      << "-net ensemble";
+  for (std::size_t r = 0; r < kRows; ++r) {
+    EXPECT_EQ(predicted[r], ensemble.predict_one(train.features.row(r))[0])
+        << "row " << r;
   }
 }
 
