@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark): throughput/latency of the
 // simulator's hot components — cache access simulation, Figure-4 energy
-// evaluation, ANN inference and training steps, heuristic stepping, and
-// the end-to-end event-driven scheduling loop.
+// evaluation, ANN inference and training steps, heuristic stepping, the
+// StreamStats fold of one job's events, and the end-to-end event-driven
+// scheduling loop.
 #include <benchmark/benchmark.h>
 
 #include "ann/mlp.hpp"
 #include "core/tuning_heuristic.hpp"
 #include "experiment/experiment.hpp"
+#include "scenario/stream_stats.hpp"
 
 namespace {
 
@@ -102,6 +104,43 @@ void BM_TuningHeuristicStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TuningHeuristicStep);
+
+// The StreamStats share of one streamed job: the reconfig, dispatch, idle
+// and slice events a 16-core run observes per job, each folded into the
+// running aggregates and the stream digest. One item is one job.
+void BM_StreamStatsJob(benchmark::State& state) {
+  constexpr std::size_t kCores = 16;
+  StreamStats stats(kCores);
+  ReconfigEvent reconfig;
+  DispatchEvent dispatch;
+  IdleEvent idle;
+  ScheduledSlice slice;
+  slice.config = CacheConfig{4096, 2, 32};
+  SimTime now = 0;
+  std::uint64_t job = 0;
+  for (auto _ : state) {
+    const std::size_t core = job % kCores;
+    reconfig.time = dispatch.time = now;
+    reconfig.core = dispatch.core = idle.core = slice.core = core;
+    reconfig.job_id = dispatch.job_id = slice.job_id = job;
+    dispatch.benchmark_id = slice.benchmark_id = job % 23;
+    dispatch.duration = 24'000;
+    idle.from = now - 700;
+    idle.to = now;
+    slice.start = now;
+    slice.end = now + 24'000;
+    stats.on_reconfig(reconfig);
+    stats.on_dispatch(dispatch);
+    stats.on_idle(idle);
+    stats.on_slice(slice);
+    now += 1'500;
+    ++job;
+  }
+  benchmark::DoNotOptimize(stats.digest());
+  if (stats.invariant_violations() != 0) state.SkipWithError("overlap");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_StreamStatsJob);
 
 void BM_KernelExecution(benchmark::State& state) {
   const auto kernels = make_standard_kernels(0.25);

@@ -16,12 +16,11 @@
 //
 // Rows come in two flavours. "Observed" rows run with the StreamStats
 // observer attached, as every real driver does; their wall time includes
-// folding each slice/dispatch/idle event into the byte-serial FNV-1a
-// digest, which costs ~110 ns/job at -O3 and therefore caps observed
-// throughput near 4M jobs/s regardless of how cheap dispatch gets.
-// "Raw" rows attach no observer — observers never feed back into
-// simulation state, so the SimulationResult is identical — and measure
-// the dispatch+simulation engine proper.
+// folding each job's events into the stream digest, a word at a time
+// (stream digest v2, about 50 ns/job at -O3 by BM_StreamStatsJob in
+// bench_micro_components). "Raw" rows attach no observer — observers
+// never feed back into simulation state, so the SimulationResult is
+// identical — and measure the dispatch+simulation engine proper.
 #include <chrono>
 #include <fstream>
 #include <iostream>

@@ -6,6 +6,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "obs/latency.hpp"
@@ -63,7 +64,10 @@ namespace st = snapshot_text;
 
 // Version 2 replaced the per-cell window summary and raw JSONL with the
 // cell's full collector state, which also carries its latency spans.
-constexpr int kManifestVersion = 2;
+// Version 3 records stream digest v2 values; a v2 manifest's cell
+// digests come from the v1 byte chain and would not match a resumed
+// cell's.
+constexpr int kManifestVersion = 3;
 
 // Identity fields shared by every path that materializes a cell record.
 void fill_cell_identity(SweepCell& cell, const SweepGrid& grid,
@@ -227,8 +231,11 @@ std::vector<SweepCell> parse_sweep_manifest(const std::string& text,
   if (!(in >> token) || token != "hetsched-sweep-manifest") {
     st::fail(context, "not a hetsched sweep manifest");
   }
-  if (st::read_value<int>(in, "version", context) != kManifestVersion) {
-    st::fail(context, "unsupported manifest version");
+  const int version = st::read_value<int>(in, "version", context);
+  if (version != kManifestVersion) {
+    st::fail(context, "unsupported manifest version " +
+                          std::to_string(version) + " (this build reads " +
+                          std::to_string(kManifestVersion) + ")");
   }
   if (!(in >> token) || token != "grid-hash") {
     st::fail(context, "expected 'grid-hash'");

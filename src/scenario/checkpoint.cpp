@@ -3,6 +3,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "util/atomic_file.hpp"
 #include "util/contracts.hpp"
@@ -25,7 +26,10 @@ namespace st = snapshot_text;
 // every in-flight span) between the stream stats and the windowed
 // collector, so a resumed run rebuilds the exact latency distributions —
 // older snapshots are rejected rather than resumed with reset spans.
-constexpr int kCheckpointVersion = 4;
+// Version 5 carries a stream digest v2 state (StreamStats folds a word
+// at a time); a v4 snapshot's digest state is a v1 byte-chain value, so
+// resuming it would silently mix the two digests.
+constexpr int kCheckpointVersion = 5;
 
 // The checkpoint stride's parameters, stamped into every snapshot.
 struct Stride {
@@ -74,8 +78,11 @@ std::uint64_t restore_checkpoint_text(const std::string& text,
   if (!(in >> token) || token != "hetsched-checkpoint") {
     st::fail(context, "not a hetsched checkpoint");
   }
-  if (st::read_value<int>(in, "version", context) != kCheckpointVersion) {
-    st::fail(context, "unsupported checkpoint version");
+  const int version = st::read_value<int>(in, "version", context);
+  if (version != kCheckpointVersion) {
+    st::fail(context, "unsupported checkpoint version " +
+                          std::to_string(version) + " (this build reads " +
+                          std::to_string(kCheckpointVersion) + ")");
   }
   if (!(in >> token) || token != "scenario-hash") {
     st::fail(context, "expected 'scenario-hash'");

@@ -1,5 +1,6 @@
 #include "scenario/stream_stats.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 
@@ -8,9 +9,9 @@
 namespace hetsched {
 namespace {
 
-// Event-type tags mixed into the digest so identical field values under
-// different event kinds cannot alias.
-enum : unsigned char {
+// Event-type tags, the low byte of every event's header word, so
+// identical field values under different event kinds cannot alias.
+enum : std::uint64_t {
   kTagSlice = 1,
   kTagFault,
   kTagDispatch,
@@ -19,20 +20,34 @@ enum : unsigned char {
   kTagPreempt,
 };
 
+// The header word of one event: its tag, then its enum field (bits
+// 8-15) and its bool field (bit 16). Every enum here has fewer than 256
+// values, so the packing is injective.
+template <typename Kind = int>
+constexpr std::uint64_t header(std::uint64_t tag, Kind kind = {},
+                               bool flag = false) {
+  return tag | (static_cast<std::uint64_t>(kind) << 8) |
+         (static_cast<std::uint64_t>(flag) << 16);
+}
+
+// Stream digest v2: one multiply and one xor-shift per 64-bit word. Each
+// step is a bijection of the state for a fixed word, so two streams that
+// differ in exactly one word never collide.
+template <typename... Words>
+constexpr std::uint64_t fold(std::uint64_t state, Words... words) {
+  ((state = (state ^ static_cast<std::uint64_t>(words)) * kFnv1aPrime,
+    state ^= state >> 32),
+   ...);
+  return state;
+}
+
 }  // namespace
 
 void StreamStats::on_slice(const ScheduledSlice& slice) {
-  digest_.update_value(static_cast<unsigned char>(kTagSlice))
-      .update_value(slice.job_id)
-      .update_value(slice.benchmark_id)
-      .update_value(slice.core)
-      .update_value(slice.start)
-      .update_value(slice.end)
-      .update_value(slice.config.size_bytes)
-      .update_value(slice.config.associativity)
-      .update_value(slice.config.line_bytes)
-      .update_value(static_cast<int>(slice.kind))
-      .update_value(slice.completed);
+  digest_ = fold(digest_, header(kTagSlice, slice.kind, slice.completed),
+                 slice.job_id, slice.benchmark_id, slice.core, slice.start,
+                 slice.end, slice.config.size_bytes,
+                 slice.config.associativity, slice.config.line_bytes);
 
   ++slices_;
   if (slice.core >= per_core_.size() || slice.end <= slice.start) {
@@ -58,44 +73,27 @@ void StreamStats::on_slice(const ScheduledSlice& slice) {
 }
 
 void StreamStats::on_fault(const FaultRecord& record) {
-  digest_.update_value(static_cast<unsigned char>(kTagFault))
-      .update_value(record.time)
-      .update_value(record.core)
-      .update_value(record.job_id)
-      .update_value(static_cast<int>(record.kind));
+  digest_ = fold(digest_, header(kTagFault, record.kind), record.time,
+                 record.core, record.job_id);
   ++faults_;
 }
 
 void StreamStats::on_dispatch(const DispatchEvent& event) {
-  digest_.update_value(static_cast<unsigned char>(kTagDispatch))
-      .update_value(event.time)
-      .update_value(event.core)
-      .update_value(event.job_id)
-      .update_value(event.benchmark_id)
-      .update_value(static_cast<int>(event.kind))
-      .update_value(event.backoff)
-      .update_value(event.duration)
-      .update_value(event.hung);
+  digest_ = fold(digest_, header(kTagDispatch, event.kind, event.hung),
+                 event.time, event.core, event.job_id, event.benchmark_id,
+                 event.backoff, event.duration);
   ++dispatches_;
 }
 
 void StreamStats::on_reconfig(const ReconfigEvent& event) {
-  digest_.update_value(static_cast<unsigned char>(kTagReconfig))
-      .update_value(event.time)
-      .update_value(event.core)
-      .update_value(event.job_id)
-      .update_value(event.attempt)
-      .update_value(event.success)
-      .update_value(event.backoff_wait);
+  digest_ = fold(digest_, header(kTagReconfig, 0, event.success), event.time,
+                 event.core, event.job_id, event.attempt, event.backoff_wait);
   ++reconfig_attempts_;
   if (!event.success) ++reconfig_failures_;
 }
 
 void StreamStats::on_idle(const IdleEvent& event) {
-  digest_.update_value(static_cast<unsigned char>(kTagIdle))
-      .update_value(event.core)
-      .update_value(event.from)
-      .update_value(event.to);
+  digest_ = fold(digest_, header(kTagIdle), event.core, event.from, event.to);
   ++idle_intervals_;
   if (event.core < per_core_.size() && event.to > event.from) {
     per_core_[event.core].idle_cycles += event.to - event.from;
@@ -111,11 +109,8 @@ void StreamStats::on_dag_release(const DagReleaseEvent& event) {
 }
 
 void StreamStats::on_preempt(const PreemptEvent& event) {
-  digest_.update_value(static_cast<unsigned char>(kTagPreempt))
-      .update_value(event.time)
-      .update_value(event.core)
-      .update_value(event.job_id)
-      .update_value(event.was_hung);
+  digest_ = fold(digest_, header(kTagPreempt, 0, event.was_hung), event.time,
+                 event.core, event.job_id);
   ++preemptions_;
 }
 
@@ -131,7 +126,7 @@ void StreamStats::save_state(std::ostream& out) const {
         << core.busy_cycles << ' ' << core.idle_cycles << ' '
         << core.last_slice_end << "\n";
   }
-  out << "digest " << digest_.digest() << "\n";
+  out << "digest " << digest_ << "\n";
 }
 
 void StreamStats::restore_state(std::istream& in,
@@ -167,8 +162,7 @@ void StreamStats::restore_state(std::istream& in,
   if (!(in >> token) || token != "digest") {
     st::fail(context, "expected 'digest'");
   }
-  digest_ =
-      Fnv1a(st::read_value<std::uint64_t>(in, "stream digest", context));
+  digest_ = st::read_value<std::uint64_t>(in, "stream digest", context);
 }
 
 }  // namespace hetsched

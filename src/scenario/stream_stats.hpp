@@ -3,11 +3,18 @@
 // A ScheduleLog retains every slice, so a million-job stream would hold
 // millions of records. StreamStats is the compacting alternative: every
 // observer callback is folded immediately into O(cores) running
-// aggregates plus an order-sensitive FNV-1a digest of the full event
-// stream. The digest makes two runs comparable byte-for-byte (equal
-// digests ⇔ identical event streams, up to hash collision) without
-// retaining either stream, which is how sweep shards and thread-count
-// invariance are checked at scale.
+// aggregates plus an order-sensitive digest of the full event stream.
+// The digest makes two runs comparable byte-for-byte (equal digests ⇔
+// identical event streams, up to hash collision) without retaining
+// either stream, which is how sweep shards and thread-count invariance
+// are checked at scale.
+//
+// Stream digest v2 folds a word at a time: each event is one header
+// word (event tag, enum field, bool field) followed by one 64-bit word
+// per remaining field, and each word costs one multiply and one
+// xor-shift (DESIGN.md §10). Its values differ from v1's byte-serial
+// FNV-1a chain, so checkpoints and sweep manifests that carry a digest
+// state are versioned with it.
 //
 // Invariants are checked incrementally with the same O(cores) state:
 // slices on one core must not overlap and must be well-formed; a
@@ -72,8 +79,9 @@ class StreamStats final : public ScheduleObserver {
     return invariant_violations_;
   }
 
-  // Order-sensitive fingerprint of every event observed so far.
-  std::uint64_t digest() const { return digest_.digest(); }
+  // Order-sensitive fingerprint of every event observed so far
+  // (stream digest v2).
+  std::uint64_t digest() const { return digest_; }
 
   // Checkpoint support: serializes every aggregate plus the running
   // digest state, so a restored collector continues folding events into
@@ -99,7 +107,7 @@ class StreamStats final : public ScheduleObserver {
   std::uint64_t faults_ = 0;
   std::uint64_t invariant_violations_ = 0;
   std::uint64_t dag_releases_ = 0;
-  Fnv1a digest_;
+  std::uint64_t digest_ = kFnv1aOffsetBasis;
 };
 
 }  // namespace hetsched

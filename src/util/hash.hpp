@@ -31,10 +31,6 @@ constexpr std::uint64_t fnv1a(std::string_view data,
 class Fnv1a {
  public:
   constexpr Fnv1a() = default;
-  // Resumes hashing from a previously taken digest() — the checkpoint
-  // restore path. A digest restored this way continues exactly as the
-  // original hasher would have.
-  constexpr explicit Fnv1a(std::uint64_t state) : hash_(state) {}
 
   constexpr Fnv1a& update(std::string_view data) {
     hash_ = fnv1a(data, hash_);

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "scenario/scenario_runner.hpp"
 #include "util/atomic_file.hpp"
 #include "util/rng.hpp"
+#include "util/snapshot_text.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hetsched {
@@ -131,6 +133,31 @@ std::string scratch_file(const std::string& name, const std::string& text) {
   const std::string path = testing::TempDir() + name;
   EXPECT_TRUE(atomic_write_file(path, text));
   return path;
+}
+
+// `text` (a checksummed snapshot whose first line is "<magic>
+// <version>") with only its format version replaced, re-sealed under a
+// valid checksum: what an older build would have written.
+std::string with_version(const std::string& text, const std::string& magic,
+                         int version) {
+  std::istringstream raw(text);
+  const std::string body = snapshot_text::read_verified(raw, "test");
+  std::ostringstream out;
+  const std::string rest = body.substr(body.find('\n'));
+  snapshot_text::write_with_checksum(
+      out, magic + ' ' + std::to_string(version) + rest);
+  return out.str();
+}
+
+// The message of the std::runtime_error `run` throws ("" if none).
+template <typename Fn>
+std::string runtime_error_of(Fn&& run) {
+  try {
+    run();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 // The checkpointing driver itself must not perturb the simulation.
@@ -344,6 +371,26 @@ TEST_F(CheckpointRejection, CollectorsWithoutWindows) {
                std::invalid_argument);
 }
 
+// A version-4 snapshot holds a stream digest v1 state: resuming it would
+// continue a byte-chain value with the v2 word fold. It is refused, and
+// the error names both versions.
+TEST_F(CheckpointRejection, PreviousFormatVersion) {
+  const std::string magic = "hetsched-checkpoint";
+  ASSERT_EQ(with_version(checkpoint(), magic, 5), checkpoint());
+  CheckpointRunOptions options = base_checkpoint_options();
+  options.resume_from =
+      scratch_file("chaos-v4.ckpt", with_version(checkpoint(), magic, 4));
+  const std::string error = runtime_error_of([&] {
+    run_scenario_checkpointed(
+        world().base, world().context, options,
+        *checkpoint_collectors(world().base, world().context));
+  });
+  EXPECT_NE(error.find("unsupported checkpoint version 4 (this build reads "
+                       "5)"),
+            std::string::npos)
+      << error;
+}
+
 TEST_F(CheckpointRejection, MissingFile) {
   CheckpointRunOptions options = base_checkpoint_options();
   options.resume_from = testing::TempDir() + "chaos-no-such.ckpt";
@@ -471,6 +518,23 @@ TEST(SupervisedSweep, ManifestRejection) {
   EXPECT_THROW(run_sweep(grid, world().context, 2,
                                     ThreadPool::global(), resume),
                std::runtime_error);
+}
+
+// A version-2 manifest's cell digests are stream digest v1 values, which
+// a resumed sweep could not reproduce: refused, naming the version.
+TEST(SupervisedSweep, PreviousManifestVersionIsRefused) {
+  const SweepGrid grid = sweep_grid();
+  const SweepResult clean =
+      run_sweep(grid, world().context, 2, ThreadPool::global(), {});
+  const std::string manifest = serialize_sweep_manifest(grid, clean.cells);
+  const std::string magic = "hetsched-sweep-manifest";
+  ASSERT_EQ(with_version(manifest, magic, 3), manifest);
+  const std::string error = runtime_error_of([&] {
+    parse_sweep_manifest(with_version(manifest, magic, 2), grid, "v2");
+  });
+  EXPECT_NE(error.find("unsupported manifest version 2 (this build reads 3)"),
+            std::string::npos)
+      << error;
 }
 
 // --- Bench regression gate vs non-finite values --------------------------
