@@ -27,14 +27,14 @@ using namespace hetsched;
 
 // Runs the Figure-5 heuristic to convergence for one benchmark and size,
 // recording observations exactly as scheduled executions would.
-std::size_t converge(const BenchmarkProfile& profile,
-                     ProfilingTable::Entry& entry, std::uint32_t size) {
+std::size_t converge(const BenchmarkProfile& profile, ProfilingTable& table,
+                     std::size_t id, std::uint32_t size) {
   std::size_t executed = 0;
-  while (auto next = TuningHeuristic::next_config(entry, size)) {
+  while (auto next = TuningHeuristic::next_config(table.entry(id), size)) {
     const ConfigProfile& cp = profile.profile_for(*next);
-    entry.observations[*DesignSpace::index_of(*next)] =
-        Observation{cp.energy.total(), cp.energy.dynamic_energy,
-                    cp.energy.total_cycles};
+    table.record(id, *next,
+                 Observation{cp.energy.total(), cp.energy.dynamic_energy,
+                             cp.energy.total_cycles});
     ++executed;
   }
   return executed;
@@ -57,15 +57,15 @@ int main() {
   for (std::size_t id : experiment.scheduling_ids()) {
     const BenchmarkProfile& b = suite.benchmark(id);
     ProfilingTable fresh(suite.size());
-    ProfilingTable::Entry& entry = fresh.entry(id);
     std::size_t total = 0;
     std::vector<std::string> cells{b.instance.name};
     double worst_gap = 0.0;
     for (std::uint32_t size : DesignSpace::sizes()) {
-      const std::size_t runs = converge(b, entry, size);
+      const std::size_t runs = converge(b, fresh, id, size);
       total += runs;
       cells.push_back(std::to_string(runs));
-      const CacheConfig found = TuningHeuristic::best_known(entry, size);
+      const CacheConfig found =
+          TuningHeuristic::best_known(fresh.entry(id), size);
       const double gap = b.profile_for(found).energy.total() /
                              b.best_for_size(size).energy.total() -
                          1.0;

@@ -19,7 +19,7 @@ std::size_t config_index(const CacheConfig& config) {
 
 std::size_t ProfilingTable::Entry::observed_count() const {
   std::size_t n = 0;
-  for (const auto& o : observations) {
+  for (const auto& o : observations_) {
     if (o.has_value()) ++n;
   }
   return n;
@@ -30,7 +30,8 @@ std::size_t ProfilingTable::Entry::observed_count_for_size(
   const auto& space = DesignSpace::all();
   std::size_t n = 0;
   for (std::size_t i = 0; i < space.size(); ++i) {
-    if (space[i].size_bytes == size_bytes && observations[i].has_value()) {
+    if (space[i].size_bytes == size_bytes &&
+        observations_[i].has_value()) {
       ++n;
     }
   }
@@ -39,7 +40,7 @@ std::size_t ProfilingTable::Entry::observed_count_for_size(
 
 const Observation* ProfilingTable::Entry::find(
     const CacheConfig& config) const {
-  const auto& obs = observations[config_index(config)];
+  const auto& obs = observations_[config_index(config)];
   return obs.has_value() ? &*obs : nullptr;
 }
 
@@ -48,10 +49,10 @@ std::optional<CacheConfig> ProfilingTable::Entry::best_observed() const {
   std::optional<CacheConfig> best;
   NanoJoules best_energy;
   for (std::size_t i = 0; i < space.size(); ++i) {
-    if (!observations[i].has_value()) continue;
-    if (!best.has_value() || observations[i]->total_energy < best_energy) {
+    if (!observations_[i].has_value()) continue;
+    if (!best.has_value() || observations_[i]->total_energy < best_energy) {
       best = space[i];
-      best_energy = observations[i]->total_energy;
+      best_energy = observations_[i]->total_energy;
     }
   }
   return best;
@@ -64,10 +65,10 @@ std::optional<CacheConfig> ProfilingTable::Entry::best_observed_for_size(
   NanoJoules best_energy;
   for (std::size_t i = 0; i < space.size(); ++i) {
     if (space[i].size_bytes != size_bytes) continue;
-    if (!observations[i].has_value()) continue;
-    if (!best.has_value() || observations[i]->total_energy < best_energy) {
+    if (!observations_[i].has_value()) continue;
+    if (!best.has_value() || observations_[i]->total_energy < best_energy) {
       best = space[i];
-      best_energy = observations[i]->total_energy;
+      best_energy = observations_[i]->total_energy;
     }
   }
   return best;
@@ -77,7 +78,8 @@ std::optional<CacheConfig> ProfilingTable::Entry::next_unexplored_for_size(
     std::uint32_t size_bytes) const {
   const auto& space = DesignSpace::all();
   for (std::size_t i = 0; i < space.size(); ++i) {
-    if (space[i].size_bytes == size_bytes && !observations[i].has_value()) {
+    if (space[i].size_bytes == size_bytes &&
+        !observations_[i].has_value()) {
       return space[i];
     }
   }
@@ -106,7 +108,7 @@ void ProfilingTable::record(std::size_t benchmark_id,
                             const Observation& obs) {
   HETSCHED_REQUIRE(benchmark_id < entries_.size());
   Entry& entry = entries_[benchmark_id];
-  auto& slot = entry.observations[config_index(config)];
+  auto& slot = entry.observations_[config_index(config)];
   // Executions replay characterised values, so in steady state every
   // record() overwrites its slot with the bit-identical observation; the
   // walk memos only need invalidating when a slot actually changes.
@@ -116,7 +118,7 @@ void ProfilingTable::record(std::size_t benchmark_id,
     return;
   }
   slot = obs;
-  ++entry.version;  // invalidates the walk memos
+  ++entry.version_;  // invalidates the walk memos
 }
 
 void ProfilingTable::save_state(std::ostream& out) const {
@@ -136,7 +138,7 @@ void ProfilingTable::save_state(std::ostream& out) const {
     }
     out << "observations " << entry.observed_count() << "\n";
     for (std::size_t i = 0; i < kConfigCount; ++i) {
-      const auto& obs = entry.observations[i];
+      const auto& obs = entry.observations_[i];
       if (!obs.has_value()) continue;
       out << i << ' ';
       snapshot_text::write_double(out, obs->total_energy.value());
@@ -209,7 +211,7 @@ void ProfilingTable::restore_state(std::istream& in,
           in, "observation dynamic energy", context));
       obs.cycles =
           snapshot_text::read_value<Cycles>(in, "observation cycles", context);
-      entry.observations[idx] = obs;
+      entry.observations_[idx] = obs;
     }
     entries_[id] = entry;
   }

@@ -41,8 +41,14 @@ class ProfilingTable {
     bool profiled = false;
     ExecutionStatistics statistics;
     std::optional<std::uint32_t> predicted_best_size_bytes;
-    // Indexed parallel to DesignSpace::all().
-    std::array<std::optional<Observation>, kConfigCount> observations;
+
+    // Indexed parallel to DesignSpace::all(). Read-only outside the
+    // table: every write goes through ProfilingTable::record, which keeps
+    // `version` exact.
+    const std::array<std::optional<Observation>, kConfigCount>&
+    observations() const {
+      return observations_;
+    }
 
     std::size_t observed_count() const;
     std::size_t observed_count_for_size(std::uint32_t size_bytes) const;
@@ -64,10 +70,10 @@ class ProfilingTable {
     // derived caches (the tuning heuristic's walk memo below) detect
     // staleness exactly. Not serialized: a restored entry starts at 0
     // with empty memos, which forces recomputation — derived state only.
-    std::uint64_t version = 0;
+    std::uint64_t version() const { return version_; }
 
     // Memoised TuningHeuristic::walk result for one design-space size,
-    // valid while `version` matches. The walk is a pure function of the
+    // valid while `version()` matches. The walk is a pure function of the
     // observations, so a memo hit is bit-identical to recomputing; it
     // turns the per-decision complete()/best_known() pair from repeated
     // table scans into two counter compares.
@@ -79,6 +85,11 @@ class ProfilingTable {
       std::size_t explored = 0;
     };
     mutable std::array<WalkMemo, 3> walk_memo{};  // per size: 2/4/8KB
+
+   private:
+    friend class ProfilingTable;
+    std::array<std::optional<Observation>, kConfigCount> observations_;
+    std::uint64_t version_ = 0;
   };
 
   explicit ProfilingTable(std::size_t benchmark_count);

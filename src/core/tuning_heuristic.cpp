@@ -10,14 +10,14 @@ TuningHeuristic::WalkState TuningHeuristic::walk(
 
   // Memo fast path: the walk is a pure function of the entry's
   // observations, which only change through record() (bumping
-  // entry.version), so a version match means the cached result is
+  // entry.version()), so a version match means the cached result is
   // bit-identical to recomputing. decide() consults complete() /
   // best_known() / next_config() several times per dispatch; in steady
   // state they all collapse to this compare.
   const std::size_t slot =
       size_bytes == 2048 ? 0 : (size_bytes == 4096 ? 1 : 2);
   ProfilingTable::Entry::WalkMemo& memo = entry.walk_memo[slot];
-  if (memo.version == entry.version) {
+  if (memo.version == entry.version()) {
     WalkState cached;
     if (memo.has_next) cached.next = memo.next;
     cached.best = memo.best;
@@ -26,7 +26,7 @@ TuningHeuristic::WalkState TuningHeuristic::walk(
   }
 
   const WalkState state = walk_uncached(entry, size_bytes);
-  memo.version = entry.version;
+  memo.version = entry.version();
   memo.has_next = state.next.has_value();
   memo.next = state.next.value_or(CacheConfig{});
   memo.best = state.best;
