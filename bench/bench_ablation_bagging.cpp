@@ -8,13 +8,13 @@
 #include "experiment/experiment.hpp"
 #include "util/stats.hpp"
 #include "util/table_printer.hpp"
+#include "workload/dataset_builder.hpp"
 
 int main() {
   using namespace hetsched;
 
   // Build the suite once; retrain predictors of different sizes on it.
-  ExperimentOptions base_options;
-  Experiment experiment(base_options);
+  Experiment experiment;
   const CharacterizedSuite& suite = experiment.suite();
   const Dataset dataset = build_ann_dataset(suite, suite.training_ids());
 
@@ -24,9 +24,9 @@ int main() {
                       "scheduling hits", "mean degradation",
                       "worst degradation"});
   for (std::size_t ensemble : {1u, 3u, 10u, 30u, 60u}) {
-    PredictorConfig config = base_options.predictor;
+    PredictorConfig config;
     config.ensemble_size = ensemble;
-    Rng rng(base_options.seed);
+    Rng rng(experiment.scenario().seed);
     BestSizePredictor predictor(dataset, config, rng);
 
     RunningStats degradation;

@@ -61,9 +61,8 @@ class NeverStallPolicy final : public SchedulerPolicy {
 int main() {
   using namespace hetsched;
 
-  ExperimentOptions options;
-  Experiment experiment(options);
-  const SystemRun base = experiment.run_base();
+  Experiment experiment;
+  const SystemRun base = experiment.run("base");
 
   std::cout << "=== Ablation: stall-vs-run decision ===\n\n";
 
@@ -78,22 +77,19 @@ int main() {
                    std::to_string(run.result.stall_events)});
   };
 
-  add(experiment.run_energy_centric_with(experiment.predictor(),
-                                         "always-stall (EC)"));
+  {
+    EnergyCentricPolicy policy(experiment.predictor());
+    add(experiment.run_with(policy, "always-stall (EC)"));
+  }
   {
     NeverStallPolicy policy(experiment.predictor());
-    MulticoreSimulator simulator(SystemConfig::paper_quadcore(),
-                                 experiment.suite(), experiment.energy(),
-                                 policy);
-    SystemRun run;
-    run.name = "never-stall";
-    run.result = simulator.run(experiment.arrivals());
-    add(run);
+    add(experiment.run_with(policy, "never-stall"));
   }
-  add(experiment.run_proposed());
+  add(experiment.run("proposed"));
   {
     OracleSizePredictor oracle(experiment.suite());
-    add(experiment.run_proposed_with(oracle, "decision + oracle ANN"));
+    ProposedPolicy policy(oracle);
+    add(experiment.run_with(policy, "decision + oracle ANN"));
   }
   table.print(std::cout);
 

@@ -67,8 +67,7 @@ WalkOutcome greedy_walk(const BenchmarkProfile& profile, std::uint32_t size,
 int main() {
   using namespace hetsched;
 
-  ExperimentOptions options;
-  Experiment experiment(options);
+  Experiment experiment;
   const CharacterizedSuite& suite = experiment.suite();
 
   std::cout << "=== Ablation: heuristic exploration order ===\n\n";

@@ -21,15 +21,15 @@ int main() {
                       "proposed", "opt cyc", "ec cyc", "prop cyc"});
 
   for (double gap : gaps) {
-    ExperimentOptions options;
-    options.arrivals.mean_interarrival_cycles = gap;
-    Experiment experiment(options);
+    Scenario setup;
+    setup.arrivals.mean_interarrival_cycles = gap;
+    Experiment experiment(setup);
 
-    const Experiment::StandardRuns runs = experiment.run_standard_systems();
-    const SystemRun& base = runs.base;
-    const SystemRun& optimal = runs.optimal;
-    const SystemRun& ec = runs.energy_centric;
-    const SystemRun& proposed = runs.proposed;
+    const std::vector<SystemRun> runs = experiment.run_paper_systems();
+    const SystemRun& base = runs[0];
+    const SystemRun& optimal = runs[1];
+    const SystemRun& ec = runs[2];
+    const SystemRun& proposed = runs[3];
 
     double util = 0.0;
     for (const CoreUsage& core : base.result.per_core) {

@@ -17,15 +17,16 @@
 #include "experiment/experiment.hpp"
 #include "util/stats.hpp"
 #include "util/table_printer.hpp"
+#include "workload/dataset_builder.hpp"
 
 int main() {
   using namespace hetsched;
 
-  ExperimentOptions options;
-  Experiment experiment(options);
+  Experiment experiment;
+  const PredictorConfig config;  // the paper's pipeline settings
   const CharacterizedSuite& suite = experiment.suite();
   const Dataset dataset = build_ann_dataset(suite, suite.training_ids());
-  const SystemRun base = experiment.run_base();
+  const SystemRun base = experiment.run("base");
 
   std::cout << "=== Future work: alternative ML techniques ===\n\n";
 
@@ -33,9 +34,9 @@ int main() {
                       "mean degradation", "proposed total vs base"});
 
   auto evaluate = [&](std::unique_ptr<Regressor> model) {
-    Rng rng(options.seed);
+    Rng rng(experiment.scenario().seed);
     ModelSizePredictor predictor(dataset, std::move(model),
-                                 options.predictor, rng);
+                                 config, rng);
 
     RunningStats degradation;
     std::size_t hits = 0;
@@ -50,8 +51,9 @@ int main() {
                       1.0);
     }
 
-    const SystemRun run = experiment.run_proposed_with(
-        predictor, std::string(predictor.model().name()));
+    ProposedPolicy policy(predictor);
+    const SystemRun run =
+        experiment.run_with(policy, std::string(predictor.model().name()));
     const NormalizedEnergy n = normalize(run.result, base.result);
 
     table.add_row(
@@ -66,9 +68,9 @@ int main() {
 
   {
     BaggingConfig bagging;
-    bagging.ensemble_size = options.predictor.ensemble_size;
+    bagging.ensemble_size = config.ensemble_size;
     bagging.net.layer_sizes = {10, 18, 5, 1};
-    bagging.trainer = options.predictor.trainer;
+    bagging.trainer = config.trainer;
     evaluate(std::make_unique<BaggedMlpRegressor>(bagging));
   }
   evaluate(std::make_unique<KnnRegressor>());

@@ -18,16 +18,16 @@ int main() {
   TablePrinter table({"seed", "optimal", "energy-centric", "proposed",
                       "ANN hits"});
   for (std::uint64_t seed : {42ull, 7ull, 1234ull, 9001ull, 31415ull}) {
-    ExperimentOptions options;
-    options.seed = seed;
-    Experiment experiment(options);
-    const SystemRun base = experiment.run_base();
+    Scenario setup;
+    setup.seed = seed;
+    Experiment experiment(setup);
+    const SystemRun base = experiment.run("base");
     const double n_opt =
-        normalize(experiment.run_optimal().result, base.result).total;
+        normalize(experiment.run("optimal").result, base.result).total;
     const double n_ec =
-        normalize(experiment.run_energy_centric().result, base.result).total;
+        normalize(experiment.run("energy-centric").result, base.result).total;
     const double n_prop =
-        normalize(experiment.run_proposed().result, base.result).total;
+        normalize(experiment.run("proposed").result, base.result).total;
 
     std::size_t hits = 0;
     for (std::size_t id : experiment.scheduling_ids()) {

@@ -15,8 +15,7 @@
 int main() {
   using namespace hetsched;
 
-  ExperimentOptions options;
-  Experiment experiment(options);
+  Experiment experiment;
   const CharacterizedSuite& suite = experiment.suite();
   const BestSizePredictor& predictor = experiment.predictor();
 

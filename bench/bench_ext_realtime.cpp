@@ -18,18 +18,10 @@
 int main() {
   using namespace hetsched;
 
-  ExperimentOptions options;
-  options.arrivals.count = 3000;
-  Experiment experiment(options);
+  Scenario setup;
+  setup.arrivals.count = 3000;
+  Experiment experiment(setup);
   const CharacterizedSuite& suite = experiment.suite();
-
-  // Reference execution time per benchmark: base configuration.
-  std::vector<Cycles> reference(suite.size(), 0);
-  for (std::size_t id = 0; id < suite.size(); ++id) {
-    reference[id] = suite.benchmark(id)
-                        .profile_for(DesignSpace::base_config())
-                        .energy.total_cycles;
-  }
 
   std::cout << "=== Extension: deadlines, EDF and preemption ===\n\n";
 
@@ -38,12 +30,13 @@ int main() {
 
   for (double slack : {2.0, 4.0, 8.0}) {
     std::vector<JobArrival> arrivals = experiment.arrivals();
-    arrivals.resize(options.arrivals.count);
     Rng rt_rng(123);
     RealtimeOptions rt;
     rt.slack_factor = slack;
     rt.priority_levels = 3;
-    assign_realtime_attributes(arrivals, reference, rt, rt_rng);
+    assign_realtime_attributes(arrivals,
+                               experiment.context().base_reference_cycles(),
+                               rt, rt_rng);
 
     struct Variant {
       std::string label;

@@ -18,30 +18,23 @@ int main() {
   TablePrinter table({"cores", "mix", "proposed/base total",
                       "proposed/base cycles", "stalls", "base util"});
   for (const std::size_t n : {2u, 4u, 8u, 12u}) {
-    ExperimentOptions options;
-    options.arrivals.count = 3000;
+    Scenario setup;
+    setup.cores = n;
+    setup.arrivals.count = 3000;
     // Keep per-core offered load constant: the quad-core default gap is
     // 55k cycles, so an n-core machine gets gap 55k * 4 / n.
-    options.arrivals.mean_interarrival_cycles = 55000.0 * 4.0 / static_cast<double>(n);
-    Experiment experiment(options);
+    setup.arrivals.mean_interarrival_cycles =
+        55000.0 * 4.0 / static_cast<double>(n);
+    Experiment experiment(setup);
 
-    const SystemConfig machine = SystemConfig::scaled_heterogeneous(n);
     std::string mix;
-    for (const CoreSpec& core : machine.cores) {
+    for (const CoreSpec& core : experiment.scenario().make_system().cores) {
       mix += std::to_string(core.cache_size_bytes / 1024) + "/";
     }
     mix.pop_back();
 
-    BasePolicy base_policy;
-    MulticoreSimulator base_sim(SystemConfig::fixed_base(n),
-                                experiment.suite(), experiment.energy(),
-                                base_policy);
-    const SimulationResult base = base_sim.run(experiment.arrivals());
-
-    ProposedPolicy policy(experiment.predictor());
-    MulticoreSimulator sim(machine, experiment.suite(),
-                           experiment.energy(), policy);
-    const SimulationResult proposed = sim.run(experiment.arrivals());
+    const SimulationResult base = experiment.run("base").result;
+    const SimulationResult proposed = experiment.run("proposed").result;
 
     double util = 0.0;
     for (const CoreUsage& core : base.per_core) util += core.utilization;

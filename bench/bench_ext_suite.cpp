@@ -17,9 +17,9 @@ int main() {
   TablePrinter table({"suite", "kernels", "ANN hits", "optimal",
                       "energy-centric", "proposed"});
   for (const bool extended : {false, true}) {
-    ExperimentOptions options;
-    options.suite.include_extended = extended;
-    Experiment experiment(options);
+    Scenario setup;
+    setup.suite.include_extended = extended;
+    Experiment experiment(setup);
 
     std::size_t hits = 0;
     for (std::size_t id : experiment.scheduling_ids()) {
@@ -30,14 +30,14 @@ int main() {
       }
     }
 
-    const SystemRun base = experiment.run_base();
+    const SystemRun base = experiment.run("base");
     const double opt =
-        normalize(experiment.run_optimal().result, base.result).total;
-    const double ec = normalize(experiment.run_energy_centric().result,
+        normalize(experiment.run("optimal").result, base.result).total;
+    const double ec = normalize(experiment.run("energy-centric").result,
                                 base.result)
                           .total;
     const double prop =
-        normalize(experiment.run_proposed().result, base.result).total;
+        normalize(experiment.run("proposed").result, base.result).total;
 
     table.add_row({extended ? "standard+extended" : "standard",
                    std::to_string(experiment.scheduling_ids().size()),

@@ -17,14 +17,13 @@
 int main() {
   using namespace hetsched;
 
-  ExperimentOptions options;
-  Experiment experiment(options);
+  Experiment experiment;
   const CharacterizedSuite& suite = experiment.suite();
-  const TwoLevelEnergyModel two_level{CactiModel{}, options.energy_params};
+  const TwoLevelEnergyModel two_level{CactiModel{}, EnergyModelParams{}};
 
   std::cout << "=== Extension: private L2 in the energy loop ===\n\n";
 
-  const auto kernels = make_suite_kernels(options.suite);
+  const auto kernels = make_suite_kernels(experiment.scenario().suite);
 
   TablePrinter table({"benchmark", "L1-only best", "two-level best",
                       "global miss rate", "energy vs L1-only model"});

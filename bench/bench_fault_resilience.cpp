@@ -21,9 +21,9 @@
 int main() {
   using namespace hetsched;
 
-  ExperimentOptions options;
-  options.arrivals.count = 2000;
-  Experiment experiment(options);
+  Scenario setup;
+  setup.arrivals.count = 2000;
+  Experiment experiment(setup);
   const OracleSizePredictor oracle(experiment.suite());
 
   const std::vector<double> rates = {0.0,  0.001, 0.005, 0.01,

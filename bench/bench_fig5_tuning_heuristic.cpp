@@ -45,8 +45,7 @@ std::size_t converge(const BenchmarkProfile& profile, ProfilingTable& table,
 int main() {
   using namespace hetsched;
 
-  ExperimentOptions options;
-  Experiment experiment(options);
+  Experiment experiment;
   const CharacterizedSuite& suite = experiment.suite();
 
   std::cout << "=== Figure 5: tuning heuristic efficiency ===\n\n";
@@ -88,8 +87,8 @@ int main() {
             << TablePrinter::pct(quality.max()) << "\n";
 
   std::cout << "\n=== Online exploration footprint (full system runs) ===\n";
-  const SystemRun optimal = experiment.run_optimal();
-  const SystemRun proposed = experiment.run_proposed();
+  const SystemRun optimal = experiment.run("optimal");
+  const SystemRun proposed = experiment.run("proposed");
   RunningStats opt_explored, prop_explored;
   for (std::size_t i = 0; i < proposed.explored_configs.size(); ++i) {
     opt_explored.add(static_cast<double>(optimal.explored_configs[i]));

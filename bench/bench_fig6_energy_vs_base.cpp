@@ -18,19 +18,19 @@
 int main() {
   using namespace hetsched;
 
-  ExperimentOptions options;
-  Experiment experiment(options);
+  Experiment experiment;
 
-  const Experiment::StandardRuns runs = experiment.run_standard_systems();
-  const SystemRun& base = runs.base;
-  const SystemRun& optimal = runs.optimal;
-  const SystemRun& ec = runs.energy_centric;
-  const SystemRun& proposed = runs.proposed;
+  const std::vector<SystemRun> runs = experiment.run_paper_systems();
+  const SystemRun& base = runs[0];
+  const SystemRun& optimal = runs[1];
+  const SystemRun& ec = runs[2];
+  const SystemRun& proposed = runs[3];
 
   std::cout << "=== Figure 6: energy normalised to the base system ===\n"
             << "(" << experiment.arrivals().size()
             << " arrivals, mean inter-arrival "
-            << options.arrivals.mean_interarrival_cycles << " cycles)\n\n";
+            << experiment.scenario().arrivals.mean_interarrival_cycles
+            << " cycles)\n\n";
 
   TablePrinter table({"system", "idle", "dynamic", "total",
                       "paper idle", "paper dynamic", "paper total"});

@@ -19,12 +19,11 @@
 int main() {
   using namespace hetsched;
 
-  ExperimentOptions options;
-  Experiment experiment(options);
+  Experiment experiment;
 
-  const SystemRun optimal = experiment.run_optimal();
-  const SystemRun ec = experiment.run_energy_centric();
-  const SystemRun proposed = experiment.run_proposed();
+  const SystemRun optimal = experiment.run("optimal");
+  const SystemRun ec = experiment.run("energy-centric");
+  const SystemRun proposed = experiment.run("proposed");
 
   std::cout << "=== Figure 7: cycles and energy normalised to the optimal "
                "system ===\n\n";

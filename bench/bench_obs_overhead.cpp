@@ -50,16 +50,22 @@ double time_ms(const std::function<void()>& fn) {
 int main() {
   using namespace hetsched;
 
-  ExperimentOptions options = ExperimentOptions::quick();
-  options.arrivals.count = 1000;
-  Experiment experiment(options);
+  Scenario setup = quick_scenario();
+  setup.arrivals.count = 1000;
+  Experiment experiment(setup);
 
   const int kRepeats = 5;
+  // The bare simulator plus `observer` (no stream digest), so each
+  // overhead below is the observer's alone.
+  auto simulate = [&](ScheduleObserver* observer) {
+    ProposedPolicy policy(experiment.predictor());
+    return experiment.run_with(policy, "proposed", observer);
+  };
 
   // Reference outputs + disabled-path timing.
   SystemRun reference;
   const double disabled_ms = time_ms([&] {
-    for (int i = 0; i < kRepeats; ++i) reference = experiment.run_proposed();
+    for (int i = 0; i < kRepeats; ++i) reference = simulate(nullptr);
   });
 
   // Counters only, as --metrics-out attaches them.
@@ -68,7 +74,7 @@ int main() {
     for (int i = 0; i < kRepeats; ++i) {
       MetricsRegistry metrics;
       SimCounters counters(metrics);
-      counted = experiment.run_proposed(&counters);
+      counted = simulate(&counters);
     }
   });
 
@@ -79,7 +85,7 @@ int main() {
     for (int i = 0; i < kRepeats; ++i) {
       MetricsRegistry metrics;
       EventTracer tracer(&metrics);
-      traced = experiment.run_proposed(&tracer);
+      traced = simulate(&tracer);
       trace_events = tracer.events().size();
     }
   });
@@ -93,7 +99,7 @@ int main() {
       EventTracer runtime;
       ProbeRecorder recorder(metrics, &runtime);
       ScopedProbe probe(&recorder);
-      full = experiment.run_proposed(&tracer);
+      full = simulate(&tracer);
       record_result_metrics(metrics, "proposed.", full.result);
     }
   });
@@ -105,10 +111,10 @@ int main() {
   std::uint64_t window_jobs = 0;
   const double windowed_ms = time_ms([&] {
     for (int i = 0; i < kRepeats; ++i) {
-      WindowedCollector collector(options.core_count,
+      WindowedCollector collector(setup.cores,
                                   WindowedOptions{1'000'000, 0},
                                   &experiment.suite());
-      windowed_run = experiment.run_proposed(&collector);
+      windowed_run = simulate(&collector);
       collector.finalize();
       windows_closed = collector.windows_closed();
       window_jobs = 0;
@@ -129,12 +135,12 @@ int main() {
       EventTracer tracer(&metrics);
       tracer.set_job_spans(true);
       JobSpanCollector spans("proposed", 1'000'000);
-      WindowedCollector collector(options.core_count,
+      WindowedCollector collector(setup.cores,
                                   WindowedOptions{1'000'000, 0},
                                   &experiment.suite());
       collector.set_span_source(&spans);
       FanoutObserver fanout({&tracer, &spans, &collector});
-      all_run = experiment.run_proposed(&fanout);
+      all_run = simulate(&fanout);
       spans.finalize();
       collector.finalize();
       span_jobs = spans.jobs_completed();
@@ -160,7 +166,7 @@ int main() {
   HETSCHED_REQUIRE(span_jobs == reference.result.completed_jobs);
 
   std::cout << "=== Observability overhead (proposed system, "
-            << options.arrivals.count << " arrivals, " << kRepeats
+            << setup.arrivals.count << " arrivals, " << kRepeats
             << " repeats) ===\n\n";
   TablePrinter table({"mode", "wall ms", "vs disabled"});
   auto add = [&](const std::string& name, double ms) {
@@ -181,7 +187,7 @@ int main() {
   std::ostringstream json;
   json << "{\n"
        << "  \"benchmark\": \"obs_overhead\",\n"
-       << "  \"arrivals\": " << options.arrivals.count << ",\n"
+       << "  \"arrivals\": " << setup.arrivals.count << ",\n"
        << "  \"repeats\": " << kRepeats << ",\n"
        << "  \"trace_events_per_run\": " << trace_events << ",\n"
        << "  \"windows_closed_per_run\": " << windows_closed << ",\n"

@@ -16,8 +16,7 @@
 int main() {
   using namespace hetsched;
 
-  ExperimentOptions options;
-  Experiment experiment(options);
+  Experiment experiment;
   const CharacterizedSuite& suite = experiment.suite();
   const EnergyModel& model = experiment.energy();
   const auto ids = experiment.scheduling_ids();

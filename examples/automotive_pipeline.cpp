@@ -18,9 +18,9 @@ int main() {
 
   // Characterise the full suite, then restrict scheduling to the
   // automotive kernels.
-  ExperimentOptions options;
-  options.arrivals.count = 3000;
-  Experiment experiment(options);
+  Scenario setup;
+  setup.arrivals.count = 3000;
+  Experiment experiment(setup);
   const CharacterizedSuite& suite = experiment.suite();
 
   std::vector<std::size_t> automotive_ids;

@@ -73,10 +73,10 @@ class PerformanceFirstPolicy final : public SchedulerPolicy {
 int main() {
   using namespace hetsched;
 
-  ExperimentOptions options;
-  options.arrivals.count = 2000;  // quicker demo run
-  Experiment experiment(options);
-  const SystemRun base = experiment.run_base();
+  Scenario setup;
+  setup.arrivals.count = 2000;  // quicker demo run
+  Experiment experiment(setup);
+  const SystemRun base = experiment.run("base");
 
   TablePrinter table(
       {"policy", "total energy", "exec cycles", "makespan", "stalls"});
@@ -88,17 +88,11 @@ int main() {
                    std::to_string(run.result.stall_events)});
   };
 
-  add(experiment.run_proposed());
-  add(experiment.run_energy_centric());
+  add(experiment.run("proposed"));
+  add(experiment.run("energy-centric"));
   {
     PerformanceFirstPolicy policy(experiment.predictor());
-    MulticoreSimulator simulator(SystemConfig::paper_quadcore(),
-                                 experiment.suite(), experiment.energy(),
-                                 policy);
-    SystemRun run;
-    run.name = std::string(policy.name());
-    run.result = simulator.run(experiment.arrivals());
-    add(run);
+    add(experiment.run_with(policy, std::string(policy.name())));
   }
 
   std::cout << "Custom vs built-in policies (normalised to the base "

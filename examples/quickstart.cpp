@@ -15,9 +15,8 @@
 int main() {
   using namespace hetsched;
 
-  ExperimentOptions options;  // paper-scale defaults: 5000 arrivals
   std::cout << "Characterising suite and training the ANN predictor...\n";
-  Experiment experiment(options);
+  const Experiment experiment;  // paper-scale defaults: 5000 arrivals
 
   const PredictorReport& report = experiment.predictor().report();
   std::cout << "  benchmarks: " << experiment.suite().size()
@@ -29,11 +28,8 @@ int main() {
 
   std::cout << "Running the four systems over "
             << experiment.arrivals().size() << " arrivals...\n";
-  const Experiment::StandardRuns runs = experiment.run_standard_systems();
-  const SystemRun& base = runs.base;
-  const SystemRun& optimal = runs.optimal;
-  const SystemRun& energy_centric = runs.energy_centric;
-  const SystemRun& proposed = runs.proposed;
+  const std::vector<SystemRun> runs = experiment.run_paper_systems();
+  const SystemRun& base = runs.front();
 
   TablePrinter table({"system", "idle", "dynamic", "total", "cycles",
                       "stalls", "tuning runs"});
@@ -46,10 +42,7 @@ int main() {
                    std::to_string(run.result.stall_events),
                    std::to_string(run.result.tuning_runs)});
   };
-  add(base);
-  add(optimal);
-  add(energy_centric);
-  add(proposed);
+  for (const SystemRun& run : runs) add(run);
 
   std::cout << "\nEnergy and cycles relative to the base system "
                "(all cores fixed at 8KB_4W_64B):\n";

@@ -1,20 +1,18 @@
 #include "experiment/experiment.hpp"
 
-#include "scenario/scenario.hpp"
 #include "util/contracts.hpp"
 #include "util/thread_pool.hpp"
-#include "workload/profile_cache.hpp"
 
 namespace hetsched {
-ExperimentOptions ExperimentOptions::quick() {
-  ExperimentOptions opts;
-  opts.suite.kernel_scale = 0.25;
-  opts.suite.variants_per_kernel = 2;
-  opts.arrivals.count = 300;
-  opts.arrivals.mean_interarrival_cycles = 60000.0;
-  opts.predictor.ensemble_size = 5;
-  opts.predictor.trainer.max_epochs = 120;
-  return opts;
+Scenario quick_scenario() {
+  Scenario setup;
+  setup.suite.kernel_scale = 0.25;
+  setup.suite.variants_per_kernel = 2;
+  setup.arrivals.count = 300;
+  setup.arrivals.mean_interarrival_cycles = 60000.0;
+  setup.predictor_ensemble = 5;
+  setup.predictor_max_epochs = 120;
+  return setup;
 }
 
 NormalizedEnergy normalize(const SimulationResult& system,
@@ -38,96 +36,55 @@ NormalizedEnergy normalize(const SimulationResult& system,
   return n;
 }
 
-Experiment::Experiment(const ExperimentOptions& options)
-    : options_(options),
-      energy_(CactiModel{}, options.energy_params),
-      suite_(load_or_build_suite(options.profile_cache_path, energy_,
-                                 options.suite)),
-      predictor_(train_size_predictor(suite_, options.predictor,
-                                      options.seed)) {
-  scheduling_ids_ = suite_.scheduling_ids();
-  HETSCHED_ASSERT(!scheduling_ids_.empty());
-  Rng arrival_rng(options_.seed ^ 0xa5a5a5a5ULL);
-  arrivals_ =
-      generate_arrivals(scheduling_ids_, options_.arrivals, arrival_rng);
+Experiment::Experiment(const Scenario& setup,
+                       const std::string& profile_cache_path,
+                       const EnergyModelParams& energy_params)
+    : scenario_(named_system(setup, "proposed")),
+      context_(scenario_, profile_cache_path, {}, energy_params) {
+  // The batch form of the stream every ScenarioRun generates (same ids,
+  // options and seed derivation), for run_with.
+  Rng arrival_rng(scenario_.seed ^ 0xa5a5a5a5ULL);
+  arrivals_ = generate_arrivals(scheduling_ids(), scenario_.arrivals,
+                                arrival_rng);
 }
 
-SystemRun Experiment::run_policy(const SystemConfig& system,
-                                 SchedulerPolicy& policy, std::string name,
-                                 ScheduleObserver* observer) const {
-  MulticoreSimulator simulator(system, suite_, energy_, policy);
-  if (observer != nullptr) simulator.set_observer(observer);
-  SystemRun run;
-  run.name = std::move(name);
-  run.result = simulator.run(arrivals_);
-  run.explored_configs.reserve(scheduling_ids_.size());
-  for (std::size_t id : scheduling_ids_) {
-    run.explored_configs.push_back(
-        simulator.table().entry(id).observed_count());
+SystemRun Experiment::finish(std::string name, SimulationResult result,
+                             const ProfilingTable& table) const {
+  SystemRun run{std::move(name), std::move(result), {}};
+  run.explored_configs.reserve(scheduling_ids().size());
+  for (std::size_t id : scheduling_ids()) {
+    run.explored_configs.push_back(table.entry(id).observed_count());
   }
   return run;
 }
 
-SystemConfig Experiment::system_for(std::string_view policy) const {
-  Scenario machine;
-  machine.cores = options_.core_count;
-  machine.system = default_machine(policy, machine.cores);
-  return machine.make_system();
+SystemRun Experiment::run(std::string_view policy,
+                          ScheduleObserver* observer) const {
+  const Scenario system = named_system(scenario_, policy);
+  ScenarioRun run(system, context_, observer);
+  SimulationResult result = run.execute().result;
+  return finish(system.name, std::move(result), run.simulator().table());
 }
 
-SystemRun Experiment::run_base(ScheduleObserver* observer) const {
-  BasePolicy policy;
-  return run_policy(system_for("base"), policy, "base", observer);
+SystemRun Experiment::run_with(SchedulerPolicy& policy, std::string name,
+                               ScheduleObserver* observer) const {
+  MulticoreSimulator simulator(scenario_.make_system(), suite(), energy(),
+                               policy);
+  if (observer != nullptr) simulator.set_observer(observer);
+  SimulationResult result = simulator.run(arrivals_);
+  return finish(std::move(name), std::move(result), simulator.table());
 }
 
-SystemRun Experiment::run_optimal(ScheduleObserver* observer) const {
-  OptimalPolicy policy;
-  return run_policy(system_for("optimal"), policy, "optimal", observer);
-}
-
-SystemRun Experiment::run_energy_centric(ScheduleObserver* observer) const {
-  EnergyCentricPolicy policy(*predictor_);
-  return run_policy(system_for("energy-centric"), policy, "energy-centric",
-                    observer);
-}
-
-SystemRun Experiment::run_proposed(ScheduleObserver* observer) const {
-  ProposedPolicy policy(*predictor_);
-  return run_policy(system_for("proposed"), policy, "proposed", observer);
-}
-
-Experiment::StandardRuns Experiment::run_standard_systems() const {
-  return run_standard_systems(StandardObservers{});
-}
-
-Experiment::StandardRuns Experiment::run_standard_systems(
-    const StandardObservers& observers) const {
-  StandardRuns runs;
-  SystemRun* const slots[4] = {&runs.base, &runs.optimal,
-                               &runs.energy_centric, &runs.proposed};
-  ThreadPool::global().parallel_for(4, [&](std::size_t i) {
-    switch (i) {
-      case 0: *slots[0] = run_base(observers.base); break;
-      case 1: *slots[1] = run_optimal(observers.optimal); break;
-      case 2:
-        *slots[2] = run_energy_centric(observers.energy_centric);
-        break;
-      default: *slots[3] = run_proposed(observers.proposed); break;
-    }
+std::vector<SystemRun> Experiment::run_paper_systems(
+    std::span<ScheduleObserver* const> observers) const {
+  const std::vector<Scenario> systems = paper_systems(scenario_);
+  HETSCHED_REQUIRE(observers.empty() || observers.size() == systems.size());
+  std::vector<SystemRun> runs(systems.size());
+  ThreadPool::global().parallel_for(systems.size(), [&](std::size_t i) {
+    runs[i] = run(systems[i].policy,
+                  observers.empty() ? nullptr : observers[i]);
   });
   return runs;
-}
-
-SystemRun Experiment::run_proposed_with(const SizePredictor& predictor,
-                                        std::string name) const {
-  ProposedPolicy policy(predictor);
-  return run_policy(system_for("proposed"), policy, std::move(name));
-}
-
-SystemRun Experiment::run_energy_centric_with(const SizePredictor& predictor,
-                                              std::string name) const {
-  EnergyCentricPolicy policy(predictor);
-  return run_policy(system_for("proposed"), policy, std::move(name));
 }
 
 }  // namespace hetsched

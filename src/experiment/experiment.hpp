@@ -1,38 +1,26 @@
-// End-to-end experiment harness (Section V): builds the characterised
-// suite, trains the ANN predictor, generates the 5000-job arrival stream,
-// and runs the four evaluated systems over the *same* stream. Every bench
-// binary and example builds on this class.
+// Section V harness: the paper's four systems (paper_systems) over one
+// arrival stream. The set-up is a ScenarioContext built for the proposed
+// system, exactly as `hetsched compare` builds it, so the suite, energy
+// model and trained predictor are the CLI's. A registry policy runs
+// through ScenarioRun, the CLI's driver; a custom policy runs through
+// MulticoreSimulator::run over the same stream held as a batch. Every
+// bench binary and example builds on this class.
 #pragma once
 
-#include <memory>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/policies.hpp"
 #include "core/simulator.hpp"
-#include "workload/dataset_builder.hpp"
+#include "scenario/scenario_runner.hpp"
 
 namespace hetsched {
 
-struct ExperimentOptions {
-  SuiteOptions suite{};
-  ArrivalOptions arrivals{};
-  PredictorConfig predictor{};
-  EnergyModelParams energy_params{};
-  std::uint64_t seed = 42;
-  // Number of cores in every evaluated system. 4 (the default) reproduces
-  // the paper machines exactly; other values use the scaled heterogeneous
-  // layout (system_config.hpp) for the reconfigurable systems and a
-  // same-sized fixed-base machine for the baseline.
-  std::size_t core_count = 4;
-  // When non-empty, characterisation is served from this snapshot file
-  // when it is present and keyed to (suite, energy_params); otherwise it
-  // is built and the file refreshed (workload/profile_cache.hpp).
-  std::string profile_cache_path;
-
-  // Scaled-down preset for unit/integration tests: smaller kernels, fewer
-  // arrivals, lighter ANN training.
-  static ExperimentOptions quick();
-};
+// Scaled-down set-up for unit/integration tests: smaller kernels, fewer
+// arrivals, lighter ANN training.
+Scenario quick_scenario();
 
 // Oracle predictor for ablations: answers with the characterised best
 // size (what a perfect ANN would say).
@@ -74,66 +62,48 @@ NormalizedEnergy normalize(const SimulationResult& system,
 
 class Experiment {
  public:
-  explicit Experiment(const ExperimentOptions& options = {});
+  // `setup` gives the suite, arrivals, seed, cores and predictor budget;
+  // each run replaces its name, policy and machine (named_system).
+  // `profile_cache_path` and `energy_params` go to the ScenarioContext.
+  explicit Experiment(const Scenario& setup = {},
+                      const std::string& profile_cache_path = "",
+                      const EnergyModelParams& energy_params = {});
 
-  const ExperimentOptions& options() const { return options_; }
-  const EnergyModel& energy() const { return energy_; }
-  const CharacterizedSuite& suite() const { return suite_; }
-  const BestSizePredictor& predictor() const { return *predictor_; }
+  // The proposed system's scenario, which the context was built for.
+  const Scenario& scenario() const { return scenario_; }
+  const ScenarioContext& context() const { return context_; }
+  const EnergyModel& energy() const { return context_.energy(); }
+  const CharacterizedSuite& suite() const { return context_.suite(); }
+  const BestSizePredictor& predictor() const {
+    return *context_.trained_predictor();
+  }
   const std::vector<JobArrival>& arrivals() const { return arrivals_; }
   const std::vector<std::size_t>& scheduling_ids() const {
-    return scheduling_ids_;
+    return context_.scheduling_ids();
   }
 
-  // The four systems of Section V. Each runs the identical arrival stream
-  // on a fresh machine. An optional observer (ScheduleLog, EventTracer)
+  // The registry policy `policy` on its default machine, as a ScenarioRun
+  // of the set-up. An optional observer (ScheduleLog, EventTracer)
   // receives that run's schedule events.
-  SystemRun run_base(ScheduleObserver* observer = nullptr) const;
-  SystemRun run_optimal(ScheduleObserver* observer = nullptr) const;
-  SystemRun run_energy_centric(ScheduleObserver* observer = nullptr) const;
-  SystemRun run_proposed(ScheduleObserver* observer = nullptr) const;
-
-  // All four Section-V systems, fanned out over the shared thread pool.
-  // The runs are independent (fresh simulator and policy each, read-only
-  // suite/energy/predictor), so the results are identical to calling the
-  // four run_*() methods serially.
-  struct StandardRuns {
-    SystemRun base;
-    SystemRun optimal;
-    SystemRun energy_centric;
-    SystemRun proposed;
-  };
-  // One optional observer per system; each receives only its own run's
-  // events (on that run's simulation thread), so per-run recorders need
-  // no synchronisation and their contents are thread-count independent.
-  struct StandardObservers {
-    ScheduleObserver* base = nullptr;
-    ScheduleObserver* optimal = nullptr;
-    ScheduleObserver* energy_centric = nullptr;
-    ScheduleObserver* proposed = nullptr;
-  };
-  StandardRuns run_standard_systems() const;
-  StandardRuns run_standard_systems(const StandardObservers& observers) const;
-
-  // Ablation entry point: the proposed/energy-centric systems with an
-  // arbitrary predictor (e.g. OracleSizePredictor).
-  SystemRun run_proposed_with(const SizePredictor& predictor,
-                              std::string name) const;
-  SystemRun run_energy_centric_with(const SizePredictor& predictor,
-                                    std::string name) const;
+  SystemRun run(std::string_view policy,
+                ScheduleObserver* observer = nullptr) const;
+  // A custom (or custom-wired, e.g. oracle-backed) policy on the proposed
+  // system's machine, over arrivals().
+  SystemRun run_with(SchedulerPolicy& policy, std::string name,
+                     ScheduleObserver* observer = nullptr) const;
+  // run() of every paper_systems() policy, in that order, fanned out over
+  // the shared thread pool. observers[i] (optional; empty = none)
+  // receives only system i's events on that run's thread, so per-run
+  // recorders need no synchronisation and stay thread-count independent.
+  std::vector<SystemRun> run_paper_systems(
+      std::span<ScheduleObserver* const> observers = {}) const;
 
  private:
-  SystemRun run_policy(const SystemConfig& system, SchedulerPolicy& policy,
-                       std::string name,
-                       ScheduleObserver* observer = nullptr) const;
-  // The machine `policy` runs on (default_machine at core_count).
-  SystemConfig system_for(std::string_view policy) const;
+  SystemRun finish(std::string name, SimulationResult result,
+                   const ProfilingTable& table) const;
 
-  ExperimentOptions options_;
-  EnergyModel energy_;
-  CharacterizedSuite suite_;
-  std::unique_ptr<BestSizePredictor> predictor_;
-  std::vector<std::size_t> scheduling_ids_;
+  Scenario scenario_;
+  ScenarioContext context_;
   std::vector<JobArrival> arrivals_;
 };
 

@@ -66,6 +66,21 @@ Scenario::SystemKind default_machine(std::string_view policy,
                     : Scenario::SystemKind::kScaledHeterogeneous;
 }
 
+Scenario named_system(Scenario setup, std::string_view policy) {
+  setup.name = setup.policy = std::string(policy);
+  setup.system = default_machine(policy, setup.cores);
+  return setup;
+}
+
+std::vector<Scenario> paper_systems(const Scenario& setup) {
+  std::vector<Scenario> systems;
+  for (const std::string_view policy :
+       {"base", "optimal", "energy-centric", "proposed"}) {
+    systems.push_back(named_system(setup, policy));
+  }
+  return systems;
+}
+
 std::string_view to_string(Scenario::SystemKind kind) {
   switch (kind) {
     case Scenario::SystemKind::kPaperQuad: return "paper";

@@ -13,6 +13,8 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/scheduler.hpp"
 #include "core/system_config.hpp"
@@ -117,6 +119,14 @@ struct Scenario {
 // machine, the paper quad-core at 4 cores and the scaled layout otherwise.
 Scenario::SystemKind default_machine(std::string_view policy,
                                      std::size_t cores);
+
+// `setup` as the system that runs `policy`: named after the policy, on
+// default_machine(policy, setup.cores); everything else is kept.
+Scenario named_system(Scenario setup, std::string_view policy);
+
+// The four systems of the paper's Section V over `setup`'s one arrival
+// stream, in the order base, optimal, energy-centric, proposed.
+std::vector<Scenario> paper_systems(const Scenario& setup);
 
 std::string_view to_string(Scenario::SystemKind kind);
 std::string_view to_string(QueueDiscipline discipline);

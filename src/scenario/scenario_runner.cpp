@@ -23,8 +23,9 @@ std::unique_ptr<SchedulerPolicy> make_scenario_policy(
 
 ScenarioContext::ScenarioContext(const Scenario& scenario,
                                  const std::string& profile_cache_path,
-                                 std::unique_ptr<const SizePredictor> loaded)
-    : energy_(CactiModel{}, EnergyModelParams{}),
+                                 std::unique_ptr<const SizePredictor> loaded,
+                                 const EnergyModelParams& energy_params)
+    : energy_(CactiModel{}, energy_params),
       suite_(load_or_build_suite(profile_cache_path, energy_,
                                  scenario.suite)) {
   scenario.validate();
@@ -46,7 +47,10 @@ ScenarioContext::ScenarioContext(const Scenario& scenario,
     if (scenario.predictor_max_epochs > 0) {
       config.trainer.max_epochs = scenario.predictor_max_epochs;
     }
-    predictor_ = train_size_predictor(suite_, config, scenario.seed);
+    std::unique_ptr<BestSizePredictor> trained =
+        train_size_predictor(suite_, config, scenario.seed);
+    trained_ = trained.get();
+    predictor_ = std::move(trained);
   }
 }
 

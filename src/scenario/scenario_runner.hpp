@@ -31,13 +31,14 @@ namespace hetsched {
 // run_scenario calls may share it.
 class ScenarioContext {
  public:
-  // Builds the characterised suite (served from `profile_cache_path`
-  // when non-empty) and, when the scenario's policy needs one, the ANN
-  // predictor: `loaded` (e.g. a PredictorSnapshot) when given, otherwise
-  // one trained on the suite.
+  // Builds the energy model from `energy_params`, the characterised
+  // suite (served from `profile_cache_path` when non-empty) and, when the
+  // scenario's policy needs one, the ANN predictor: `loaded` (e.g. a
+  // PredictorSnapshot) when given, otherwise one trained on the suite.
   explicit ScenarioContext(const Scenario& scenario,
                            const std::string& profile_cache_path = "",
-                           std::unique_ptr<const SizePredictor> loaded = {});
+                           std::unique_ptr<const SizePredictor> loaded = {},
+                           const EnergyModelParams& energy_params = {});
 
   const EnergyModel& energy() const { return energy_; }
   const CharacterizedSuite& suite() const { return suite_; }
@@ -51,6 +52,9 @@ class ScenarioContext {
   }
   // Null when the scenario's policy does not consult a predictor.
   const SizePredictor* predictor() const { return predictor_.get(); }
+  // The ANN this context trained (its report, raw size predictions);
+  // null when the predictor was loaded or not needed.
+  const BestSizePredictor* trained_predictor() const { return trained_; }
 
  private:
   EnergyModel energy_;
@@ -58,6 +62,7 @@ class ScenarioContext {
   std::vector<std::size_t> scheduling_ids_;
   std::vector<Cycles> base_reference_cycles_;
   std::unique_ptr<const SizePredictor> predictor_;
+  const BestSizePredictor* trained_ = nullptr;
 };
 
 struct ScenarioOutcome {

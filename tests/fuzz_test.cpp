@@ -111,11 +111,11 @@ TEST(FuzzDifferential, MultiSimMatchesReferenceReplay) {
 // One scaled-down experiment shared by the schedule fuzz cases.
 const Experiment& fuzz_experiment() {
   static const Experiment* experiment = [] {
-    ExperimentOptions options = ExperimentOptions::quick();
-    options.suite.variants_per_kernel = 1;
-    options.arrivals.count = 200;
-    options.seed = fuzz_base_seed();
-    return new Experiment(options);
+    Scenario setup = quick_scenario();
+    setup.suite.variants_per_kernel = 1;
+    setup.arrivals.count = 200;
+    setup.seed = fuzz_base_seed();
+    return new Experiment(setup);
   }();
   return *experiment;
 }
@@ -144,15 +144,15 @@ TEST(FuzzSchedule, BusyCyclesMatchNaiveRecount) {
   const Experiment& experiment = fuzz_experiment();
   {
     ScheduleLog log;
-    check_busy_recount(experiment.run_base(&log), log);
+    check_busy_recount(experiment.run("base", &log), log);
   }
   {
     ScheduleLog log;
-    check_busy_recount(experiment.run_optimal(&log), log);
+    check_busy_recount(experiment.run("optimal", &log), log);
   }
   {
     ScheduleLog log;
-    check_busy_recount(experiment.run_proposed(&log), log);
+    check_busy_recount(experiment.run("proposed", &log), log);
   }
 }
 

@@ -11,7 +11,7 @@ namespace hetsched {
 namespace {
 
 const Experiment& quick_experiment() {
-  static const Experiment experiment{ExperimentOptions::quick()};
+  static const Experiment experiment{quick_scenario()};
   return experiment;
 }
 
@@ -33,14 +33,14 @@ TEST(ExperimentTest, ArrivalStreamUsesSchedulingIdsOnly) {
   for (const JobArrival& a : e.arrivals()) {
     EXPECT_TRUE(ids.count(a.benchmark_id));
   }
-  EXPECT_EQ(e.arrivals().size(), e.options().arrivals.count);
+  EXPECT_EQ(e.arrivals().size(), e.scenario().arrivals.count);
 }
 
 TEST(ExperimentTest, AllFourSystemsCompleteTheStream) {
   const Experiment& e = quick_experiment();
   for (const SystemRun& run :
-       {e.run_base(), e.run_optimal(), e.run_energy_centric(),
-        e.run_proposed()}) {
+       {e.run("base"), e.run("optimal"), e.run("energy-centric"),
+        e.run("proposed")}) {
     EXPECT_EQ(run.result.completed_jobs, e.arrivals().size()) << run.name;
     EXPECT_GT(run.result.total_energy().value(), 0.0) << run.name;
     EXPECT_GT(run.result.makespan, 0u) << run.name;
@@ -49,10 +49,10 @@ TEST(ExperimentTest, AllFourSystemsCompleteTheStream) {
 
 TEST(ExperimentTest, SystemCharacters) {
   const Experiment& e = quick_experiment();
-  const SystemRun base = e.run_base();
-  const SystemRun optimal = e.run_optimal();
-  const SystemRun ec = e.run_energy_centric();
-  const SystemRun proposed = e.run_proposed();
+  const SystemRun base = e.run("base");
+  const SystemRun optimal = e.run("optimal");
+  const SystemRun ec = e.run("energy-centric");
+  const SystemRun proposed = e.run("proposed");
 
   // Base: homogeneous, no learning machinery.
   EXPECT_EQ(base.result.profiling_runs, 0u);
@@ -72,7 +72,7 @@ TEST(ExperimentTest, SystemCharacters) {
 
 TEST(ExperimentTest, NormalizeComputesRatios) {
   const Experiment& e = quick_experiment();
-  const SystemRun base = e.run_base();
+  const SystemRun base = e.run("base");
   const NormalizedEnergy self = normalize(base.result, base.result);
   EXPECT_DOUBLE_EQ(self.idle, 1.0);
   EXPECT_DOUBLE_EQ(self.dynamic, 1.0);
@@ -82,11 +82,10 @@ TEST(ExperimentTest, NormalizeComputesRatios) {
 }
 
 TEST(ExperimentTest, IdenticalOptionsReproduceBitIdenticalResults) {
-  const ExperimentOptions options = ExperimentOptions::quick();
-  const Experiment a(options);
-  const Experiment b(options);
-  const SimulationResult ra = a.run_proposed().result;
-  const SimulationResult rb = b.run_proposed().result;
+  const Experiment a(quick_scenario());
+  const Experiment b(quick_scenario());
+  const SimulationResult ra = a.run("proposed").result;
+  const SimulationResult rb = b.run("proposed").result;
   EXPECT_DOUBLE_EQ(ra.total_energy().value(), rb.total_energy().value());
   EXPECT_EQ(ra.makespan, rb.makespan);
   EXPECT_EQ(ra.stall_events, rb.stall_events);
@@ -94,10 +93,10 @@ TEST(ExperimentTest, IdenticalOptionsReproduceBitIdenticalResults) {
 }
 
 TEST(ExperimentTest, DifferentSeedsChangeTheStream) {
-  ExperimentOptions options = ExperimentOptions::quick();
-  const Experiment a(options);
-  options.seed = 777;
-  const Experiment b(options);
+  Scenario setup = quick_scenario();
+  const Experiment a(setup);
+  setup.seed = 777;
+  const Experiment b(setup);
   EXPECT_NE(a.arrivals().front().arrival, b.arrivals().front().arrival);
 }
 
@@ -114,16 +113,18 @@ TEST(ExperimentTest, OraclePredictorMatchesCharacterisation) {
 TEST(ExperimentTest, RunWithCustomPredictorUsesGivenName) {
   const Experiment& e = quick_experiment();
   const OracleSizePredictor oracle(e.suite());
-  const SystemRun run = e.run_proposed_with(oracle, "proposed+oracle");
+  ProposedPolicy proposed(oracle);
+  const SystemRun run = e.run_with(proposed, "proposed+oracle");
   EXPECT_EQ(run.name, "proposed+oracle");
   EXPECT_EQ(run.result.completed_jobs, e.arrivals().size());
-  const SystemRun ec = e.run_energy_centric_with(oracle, "ec+oracle");
+  EnergyCentricPolicy energy_centric(oracle);
+  const SystemRun ec = e.run_with(energy_centric, "ec+oracle");
   EXPECT_EQ(ec.name, "ec+oracle");
 }
 
 TEST(ExperimentTest, ProfilingOverheadStaysSmall) {
   const Experiment& e = quick_experiment();
-  const SystemRun proposed = e.run_proposed();
+  const SystemRun proposed = e.run("proposed");
   const double share = proposed.result.profiling_energy.value() /
                        proposed.result.total_energy().value();
   EXPECT_LT(share, 0.05) << "profiling overhead must stay marginal";
@@ -131,7 +132,7 @@ TEST(ExperimentTest, ProfilingOverheadStaysSmall) {
 
 TEST(ExperimentTest, ExploredConfigsNeverExceedDesignSpace) {
   const Experiment& e = quick_experiment();
-  for (const SystemRun& run : {e.run_optimal(), e.run_proposed()}) {
+  for (const SystemRun& run : {e.run("optimal"), e.run("proposed")}) {
     for (std::size_t count : run.explored_configs) {
       EXPECT_LE(count, 18u);
     }

@@ -82,13 +82,13 @@ TEST(MetricsRegistryTest, JsonEscape) {
 }
 
 TEST(EventTracerTest, CountersMatchSimulationResult) {
-  ExperimentOptions options = ExperimentOptions::quick();
-  options.arrivals.count = 200;
-  Experiment experiment(options);
+  Scenario setup = quick_scenario();
+  setup.arrivals.count = 200;
+  Experiment experiment(setup);
 
   MetricsRegistry metrics;
   EventTracer tracer(&metrics);
-  const SystemRun run = experiment.run_proposed(&tracer);
+  const SystemRun run = experiment.run("proposed", &tracer);
 
   EXPECT_EQ(metrics.counter("sim.dispatches").value(),
             run.result.completed_jobs);
@@ -107,14 +107,14 @@ TEST(EventTracerTest, CountersMatchSimulationResult) {
 }
 
 TEST(EventTracerTest, ObserverDoesNotPerturbSimulation) {
-  ExperimentOptions options = ExperimentOptions::quick();
-  options.arrivals.count = 150;
-  Experiment experiment(options);
+  Scenario setup = quick_scenario();
+  setup.arrivals.count = 150;
+  Experiment experiment(setup);
 
-  const SystemRun bare = experiment.run_proposed();
+  const SystemRun bare = experiment.run("proposed");
   MetricsRegistry metrics;
   EventTracer tracer(&metrics);
-  const SystemRun traced = experiment.run_proposed(&tracer);
+  const SystemRun traced = experiment.run("proposed", &tracer);
 
   EXPECT_EQ(bare.result.makespan, traced.result.makespan);
   EXPECT_EQ(bare.result.completed_jobs, traced.result.completed_jobs);
@@ -179,36 +179,26 @@ std::pair<std::string, std::string> observed_run(std::size_t threads) {
   ProbeRecorder recorder(metrics, &runtime);
   ScopedProbe probe(&recorder);
 
-  ExperimentOptions options = ExperimentOptions::quick();
-  options.arrivals.count = 120;
-  options.profile_cache_path = cache_path;
-  Experiment experiment(options);
+  Scenario setup = quick_scenario();
+  setup.arrivals.count = 120;
+  Experiment experiment(setup, cache_path);
 
   // Four per-system tracers, registered serially before the fan-out.
-  const char* names[4] = {"base", "optimal", "energy-centric", "proposed"};
+  const std::vector<Scenario> systems = paper_systems(setup);
   std::vector<EventTracer> tracers;
-  tracers.reserve(4);
-  for (const char* name : names) {
-    tracers.emplace_back(&metrics, std::string(name) + ".sim.");
+  tracers.reserve(systems.size());
+  for (const Scenario& system : systems) {
+    tracers.emplace_back(&metrics, system.name + ".sim.");
   }
-  Experiment::StandardObservers observers;
-  observers.base = &tracers[0];
-  observers.optimal = &tracers[1];
-  observers.energy_centric = &tracers[2];
-  observers.proposed = &tracers[3];
-  const Experiment::StandardRuns runs =
-      experiment.run_standard_systems(observers);
-
-  record_result_metrics(metrics, "base.", runs.base.result);
-  record_result_metrics(metrics, "optimal.", runs.optimal.result);
-  record_result_metrics(metrics, "energy-centric.",
-                        runs.energy_centric.result);
-  record_result_metrics(metrics, "proposed.", runs.proposed.result);
+  std::vector<ScheduleObserver*> observers;
+  for (EventTracer& tracer : tracers) observers.push_back(&tracer);
+  const std::vector<SystemRun> runs = experiment.run_paper_systems(observers);
 
   std::vector<std::pair<std::string, const EventTracer*>> processes;
   processes.emplace_back("runtime", &runtime);
-  for (std::size_t i = 0; i < 4; ++i) {
-    processes.emplace_back(names[i], &tracers[i]);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    record_result_metrics(metrics, runs[i].name + ".", runs[i].result);
+    processes.emplace_back(runs[i].name, &tracers[i]);
   }
   std::ostringstream trace;
   write_chrome_trace(trace, processes);

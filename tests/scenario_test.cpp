@@ -17,6 +17,7 @@
 #include "obs/observability.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "util/thread_pool.hpp"
+#include "workload/profile_cache.hpp"
 
 namespace hetsched {
 namespace {
@@ -473,22 +474,52 @@ TEST(Scenario, GoldenStreamingSmokeScenario) {
          "commit the new snapshot";
 }
 
-// Regression for the latent 4-core assumptions the scenario work
-// removed: the Experiment harness itself must run end-to-end on a
-// non-paper core count.
-TEST(ExperimentCoreCount, SixCoreSystemsRunAllPolicies) {
-  ExperimentOptions options = ExperimentOptions::quick();
-  options.suite.variants_per_kernel = 1;
-  options.arrivals.count = 150;
-  options.core_count = 6;
-  const Experiment experiment(options);
+// Experiment's two run paths agree: a named policy runs as a
+// ScenarioRun over the generated stream, a custom one through
+// MulticoreSimulator::run over the batch arrivals, and the proposed
+// system comes out the same either way, explored configurations
+// included. At 6 cores it is also the regression for the latent 4-core
+// assumptions: every system runs end to end on a non-paper core count.
+TEST(ExperimentCoreCount, NamedRunMatchesRunWithAtFourAndSixCores) {
+  for (const std::size_t cores : {std::size_t{4}, std::size_t{6}}) {
+    Scenario setup = quick_scenario();
+    setup.suite.variants_per_kernel = 1;
+    setup.arrivals.count = 150;
+    setup.cores = cores;
+    const Experiment experiment(setup);
+    const std::string what = std::to_string(cores) + " cores";
 
-  for (const SystemRun& run :
-       {experiment.run_base(), experiment.run_optimal(),
-        experiment.run_proposed()}) {
-    EXPECT_EQ(run.result.per_core.size(), 6u) << run.name;
-    EXPECT_EQ(run.result.completed_jobs, 150u) << run.name;
+    const SystemRun named = experiment.run("proposed");
+    ProposedPolicy policy(experiment.predictor());
+    const SystemRun custom = experiment.run_with(policy, "proposed");
+    expect_same_result(named.result, custom.result, what);
+    EXPECT_EQ(named.explored_configs, custom.explored_configs) << what;
+
+    for (const SystemRun& run :
+         {experiment.run("base"), experiment.run("optimal"), named}) {
+      EXPECT_EQ(run.result.per_core.size(), cores) << what << " " << run.name;
+      EXPECT_EQ(run.result.completed_jobs, 150u) << what << " " << run.name;
+    }
   }
+}
+
+// energy_params reaches the suite: a perturbed energy model keys the
+// profile cache differently and characterises different energies.
+TEST(ScenarioContextTest, EnergyParamsReachSuiteAndCacheKey) {
+  Scenario s = world().base;
+  s.policy = "base";  // no predictor to train
+  EnergyModelParams perturbed;
+  perturbed.offchip_access = NanoJoules{12.0};
+  const ScenarioContext plain(s);
+  const ScenarioContext changed(s, "", {}, perturbed);
+
+  EXPECT_NE(suite_cache_key(s.suite, plain.energy()),
+            suite_cache_key(s.suite, changed.energy()));
+  const std::size_t id = plain.scheduling_ids().front();
+  const CacheConfig base = DesignSpace::base_config();
+  EXPECT_NE(plain.suite().benchmark(id).profile_for(base).energy.total(),
+            changed.suite().benchmark(id).profile_for(base).energy.total());
+  EXPECT_EQ(plain.suite().size(), changed.suite().size());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "core/serialization.hpp"
 #include "experiment/experiment.hpp"
+#include "workload/dataset_builder.hpp"
 
 namespace hetsched {
 namespace {

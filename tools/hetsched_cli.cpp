@@ -857,15 +857,10 @@ int finish_run(const CliOptions& options, ObsSession* obs,
   return outcome.stream.invariant_violations() == 0 ? 0 : 1;
 }
 
-CharacterizedSuite build_suite(const CliOptions& options,
-                               const EnergyModel& energy) {
-  return load_or_build_suite(options.profile_cache_path, energy,
-                             options.run.suite);
-}
-
 int cmd_characterize(const CliOptions& options) {
   const EnergyModel energy(CactiModel{}, EnergyModelParams{});
-  const CharacterizedSuite suite = build_suite(options, energy);
+  const CharacterizedSuite suite = load_or_build_suite(
+      options.profile_cache_path, energy, options.run.suite);
   if (!options.kernel.empty()) {
     // Single-kernel per-configuration sweep.
     for (std::size_t id : suite.scheduling_ids()) {
@@ -906,14 +901,15 @@ int cmd_characterize(const CliOptions& options) {
 
 int cmd_train(const CliOptions& options) {
   if (options.save_path.empty()) usage("train requires --save FILE");
-  const EnergyModel energy(CactiModel{}, EnergyModelParams{});
-  const auto predictor = train_size_predictor(
-      build_suite(options, energy), PredictorConfig{}, options.run.seed);
-  const PredictorReport& report = predictor->report();
+  // The flag-built scenario runs the proposed system, so its context
+  // trains the predictor that run and compare would.
+  const ScenarioContext context(options.run, options.profile_cache_path);
+  const BestSizePredictor& predictor = *context.trained_predictor();
+  const PredictorReport& report = predictor.report();
   std::cout << "trained on " << report.dataset_rows << " rows; test accuracy "
             << TablePrinter::num(report.test_accuracy * 100.0, 1) << "%\n";
   std::ostringstream out;
-  PredictorSnapshot::from(*predictor).save(out);
+  PredictorSnapshot::from(predictor).save(out);
   if (!atomic_write_file(options.save_path, out.str())) {
     std::cerr << "cannot write " << options.save_path << "\n";
     return 1;
@@ -947,22 +943,15 @@ int cmd_run_or_compare(const CliOptions& options, ObsSession* obs) {
   // compare: the four Section-V systems over one stream, fanned out
   // over the shared pool; run: the one named system. Each runs on the
   // machine its policy runs on.
-  const std::vector<std::string> names =
-      options.command == "compare"
-          ? std::vector<std::string>{"base", "optimal", "energy-centric",
-                                     "proposed"}
-          : std::vector<std::string>{options.system};
-  std::vector<Scenario> scenarios;
-  for (const std::string& name : names) {
-    const PolicyRegistry& registry = PolicyRegistry::instance();
-    if (!registry.known(name)) {
-      usage("unknown system " + name + " (expected " +
-            registry.names_help() + ")");
-    }
-    Scenario& scenario = scenarios.emplace_back(flags);
-    scenario.name = scenario.policy = name;
-    scenario.system = default_machine(name, scenario.cores);
+  const PolicyRegistry& registry = PolicyRegistry::instance();
+  if (options.command == "run" && !registry.known(options.system)) {
+    usage("unknown system " + options.system + " (expected " +
+          registry.names_help() + ")");
   }
+  const std::vector<Scenario> scenarios =
+      options.command == "compare"
+          ? paper_systems(flags)
+          : std::vector<Scenario>{named_system(flags, options.system)};
 
   std::unique_ptr<const SizePredictor> loaded;
   if (!options.load_path.empty()) {
@@ -1007,12 +996,13 @@ int cmd_run_or_compare(const CliOptions& options, ObsSession* obs) {
   }
   const SimulationResult& base = outcomes[0]->result;
   TablePrinter table({"system", "idle", "dynamic", "total", "cycles"});
-  for (std::size_t i = 0; i < names.size(); ++i) {
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const std::string& name = scenarios[i].name;
     if (obs != nullptr) {
-      record_scenario_metrics(obs->metrics, names[i] + ".", *outcomes[i]);
+      record_scenario_metrics(obs->metrics, name + ".", *outcomes[i]);
     }
     const NormalizedEnergy n = normalize(outcomes[i]->result, base);
-    table.add_row({names[i], TablePrinter::num(n.idle, 2),
+    table.add_row({name, TablePrinter::num(n.idle, 2),
                    TablePrinter::num(n.dynamic, 2),
                    TablePrinter::num(n.total, 2),
                    TablePrinter::num(n.cycles, 2)});
