@@ -33,7 +33,7 @@ int main() {
 
   TablePrinter table({"system", "idle", "dynamic", "total", "cycles",
                       "stalls", "tuning runs"});
-  auto add = [&](const SystemRun& run) {
+  for (const SystemRun& run : runs) {
     const NormalizedEnergy n = normalize(run.result, base.result);
     table.add_row({run.name, TablePrinter::pct(n.idle - 1.0),
                    TablePrinter::pct(n.dynamic - 1.0),
@@ -41,8 +41,7 @@ int main() {
                    TablePrinter::pct(n.cycles - 1.0),
                    std::to_string(run.result.stall_events),
                    std::to_string(run.result.tuning_runs)});
-  };
-  for (const SystemRun& run : runs) add(run);
+  }
 
   std::cout << "\nEnergy and cycles relative to the base system "
                "(all cores fixed at 8KB_4W_64B):\n";

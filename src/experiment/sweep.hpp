@@ -33,8 +33,8 @@ struct SweepGrid {
   // The concrete scenario for cell `index` (row-major over core_counts,
   // then mean_gaps, then policies). The base policy runs on a same-sized
   // fixed-base machine, every other policy on the reconfigurable one
-  // (paper layout at 4 cores, scaled layout otherwise) — the Experiment
-  // convention.
+  // (paper layout at 4 cores, scaled layout otherwise): default_machine,
+  // as for every named system.
   Scenario cell_scenario(std::size_t index) const;
   // "c<cores>.g<gap index>.<policy>", metric-key safe.
   std::string cell_label(std::size_t index) const;
