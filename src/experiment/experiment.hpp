@@ -2,7 +2,7 @@
 // arrival stream. The set-up is a ScenarioContext built for the proposed
 // system, exactly as `hetsched compare` builds it, so the suite, energy
 // model and trained predictor are the CLI's. A registry policy runs
-// through ScenarioRun, the CLI's driver; a custom policy runs through
+// through ScenarioRun, as every CLI run does; a custom policy runs through
 // MulticoreSimulator::run over the same stream held as a batch. Every
 // bench binary and example builds on this class.
 #pragma once
@@ -63,7 +63,10 @@ NormalizedEnergy normalize(const SimulationResult& system,
 class Experiment {
  public:
   // `setup` gives the suite, arrivals, seed, cores and predictor budget;
-  // each run replaces its name, policy and machine (named_system).
+  // each run replaces its name, policy and machine (named_system). Its
+  // fault plan, real-time options, DAG and queue discipline reach run()
+  // only (they are ScenarioRun features), so leave them at their
+  // defaults when comparing run() with run_with().
   // `profile_cache_path` and `energy_params` go to the ScenarioContext.
   explicit Experiment(const Scenario& setup = {},
                       const std::string& profile_cache_path = "",
